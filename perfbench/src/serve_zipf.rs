@@ -330,6 +330,7 @@ pub fn untraced(seed: u64, seconds: f64, out_dir: &Path) -> Outcome {
     let mut setups = Vec::new();
     let mut child_digests = Vec::new();
     for _ in 0..CHILD_SETUPS {
+        o.attempted += catalog.len() as u64;
         match child_setup(seed) {
             Ok((s, d)) => {
                 setups.push(s);

@@ -20,7 +20,7 @@ const TRIALS: usize = 60;
 /// Worker threads.
 const JOBS: usize = 2;
 /// Set-up samples per run.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 11;
 
 fn monte_carlo(seed: u64) -> MonteCarlo {
     MonteCarlo {

@@ -22,7 +22,7 @@ const LEVELS_CAP: usize = 4;
 /// Row chunks the sample takes per module.
 const CHUNKS: u64 = 4;
 /// Set-up samples per run.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 11;
 
 /// Which study campaign a workload runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
