@@ -202,11 +202,17 @@ pub fn table(workload: &str, outcome: &Outcome) -> String {
         "{:<30} {:>16} {:<6} {:>8}  kind",
         "metric", "value", "unit", "samples"
     );
+    let failed_ratio = Reading {
+        value: outcome.failed as f64 / outcome.attempted.max(1) as f64,
+        unit: "ratio",
+        samples: outcome.attempted as usize,
+    };
     let rows = outcome
         .metrics
         .iter()
         .map(|(n, r)| (*n, r, "result"))
-        .chain(outcome.extra.iter().map(|(n, r)| (*n, r, "report")));
+        .chain(outcome.extra.iter().map(|(n, r)| (*n, r, "report")))
+        .chain(std::iter::once(("failed_ratio", &failed_ratio, "report")));
     for (name, r, kind) in rows {
         let _ = writeln!(
             out,
@@ -216,10 +222,8 @@ pub fn table(workload: &str, outcome: &Outcome) -> String {
     }
     let _ = writeln!(
         out,
-        "attempted {} failed {} failed_ratio {:.6}",
-        outcome.attempted,
-        outcome.failed,
-        outcome.failed as f64 / outcome.attempted.max(1) as f64
+        "attempted {} failed {}",
+        outcome.attempted, outcome.failed
     );
     for e in &outcome.errors {
         let _ = writeln!(out, "error: {e}");
