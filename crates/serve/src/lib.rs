@@ -30,5 +30,5 @@ pub mod scheduler;
 pub mod server;
 
 pub use sched::{JobId, OverflowPolicy, SchedConfig};
-pub use scheduler::{JobPhase, JobView, SchedStats, Scheduler, SubmitError};
-pub use server::{Server, ServerConfig};
+pub use scheduler::{JobPhase, JobView, SchedStats, Scheduler, SubmitError, RETAINED_SETTLED};
+pub use server::{Server, ServerConfig, MAX_CONNECTIONS};

@@ -362,6 +362,20 @@ impl Core {
         }
     }
 
+    /// Drops a settled job's state so the core stops tracking it; afterwards
+    /// the id reads as unknown ([`Core::state`] is `None`, [`Core::cancel`]
+    /// answers [`CancelOutcome::Unknown`]). Queued and running ids are left
+    /// untouched: only the owner's retention bound calls this, and it must
+    /// never lose a job that can still run.
+    pub fn forget(&mut self, id: JobId) {
+        if matches!(
+            self.states.get(&id),
+            Some(JobState::Done | JobState::Cancelled | JobState::Shed)
+        ) {
+            self.states.remove(&id);
+        }
+    }
+
     /// Requests cancellation; see [`CancelOutcome`] for what the caller must
     /// do next.
     pub fn cancel(&mut self, id: JobId) -> CancelOutcome {

@@ -13,6 +13,13 @@
 //! the running job's token; the engine returns [`StudyError::Cancelled`] at
 //! the next unit boundary and (with checkpoints enabled) the finished chunks
 //! stay on disk for the next submission of the same spec to resume from.
+//!
+//! Settled jobs (done, failed, cancelled while queued, or shed) stay
+//! queryable until [`RETAINED_SETTLED`] newer jobs have settled; then the
+//! oldest settled record is dropped and its id reads as unknown. Queued and
+//! running jobs are never dropped. Job outputs are shared [`Arc`]s, so the
+//! result cache, the job records and every waiter hold one copy of the
+//! records JSONL.
 
 use crate::sched::{CancelOutcome, Core, JobId, SchedConfig, SubmitOutcome};
 use hammervolt_core::error::StudyError;
@@ -20,7 +27,7 @@ use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::{JobControl, JobOutput, JobSpec, ProgressSnapshot};
 use hammervolt_obs::scope::Scope;
 use hammervolt_obs::{histogram_record, metrics};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -110,7 +117,7 @@ struct JobRecord {
     spec_hash: u64,
     ctl: JobControl,
     phase: JobPhase,
-    output: Option<JobOutput>,
+    output: Option<Arc<JobOutput>>,
     subscribers: u64,
     /// The submitting request's id (propagated into `x-request-id`-rooted
     /// span trees and the job view).
@@ -136,6 +143,11 @@ impl JobRecord {
     }
 }
 
+/// How many settled job records the scheduler keeps before dropping the
+/// oldest; bounds the memory of a long-lived server however many jobs it
+/// serves.
+pub const RETAINED_SETTLED: usize = 1024;
+
 /// Bound on the in-memory result cache: 32 recent job outputs is plenty for
 /// warm-resubmit traffic while keeping worst-case memory small (outputs are
 /// JSONL strings, typically a few KiB each).
@@ -159,14 +171,14 @@ pub fn result_cache_stats() -> (u64, u64) {
 /// the back; only successful outputs are stored, so cancelled or failed jobs
 /// always re-execute.
 struct ResultLru {
-    entries: Vec<(u64, JobOutput)>,
+    entries: Vec<(u64, Arc<JobOutput>)>,
 }
 
 impl ResultLru {
-    fn get(&mut self, spec_hash: u64) -> Option<JobOutput> {
+    fn get(&mut self, spec_hash: u64) -> Option<Arc<JobOutput>> {
         if let Some(pos) = self.entries.iter().position(|(h, _)| *h == spec_hash) {
             let entry = self.entries.remove(pos);
-            let out = entry.1.clone();
+            let out = Arc::clone(&entry.1);
             self.entries.push(entry);
             RESULT_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             Some(out)
@@ -176,13 +188,13 @@ impl ResultLru {
         }
     }
 
-    fn put(&mut self, spec_hash: u64, output: &JobOutput) {
+    fn put(&mut self, spec_hash: u64, output: &Arc<JobOutput>) {
         if let Some(pos) = self.entries.iter().position(|(h, _)| *h == spec_hash) {
             self.entries.remove(pos);
         } else if self.entries.len() >= RESULT_CACHE_CAP {
             self.entries.remove(0);
         }
-        self.entries.push((spec_hash, output.clone()));
+        self.entries.push((spec_hash, Arc::clone(output)));
     }
 }
 
@@ -200,7 +212,25 @@ struct Shared {
 struct Inner {
     core: Core,
     jobs: BTreeMap<JobId, JobRecord>,
+    /// Settled job ids, oldest first; at most [`RETAINED_SETTLED`] long.
+    settled: VecDeque<JobId>,
     shutdown: bool,
+}
+
+impl Inner {
+    /// Records that `id` reached a terminal state, dropping the oldest
+    /// settled record (here and in the core) once more than
+    /// [`RETAINED_SETTLED`] are kept. Called exactly once per job, at the
+    /// transition to settled, so only settled ids ever enter the FIFO.
+    fn settle(&mut self, id: JobId) {
+        self.settled.push_back(id);
+        while self.settled.len() > RETAINED_SETTLED {
+            if let Some(old) = self.settled.pop_front() {
+                self.jobs.remove(&old);
+                self.core.forget(old);
+            }
+        }
+    }
 }
 
 /// The multi-tenant job scheduler. Create with [`Scheduler::start`], stop
@@ -222,6 +252,7 @@ impl Scheduler {
             core: Mutex::new(Inner {
                 core: Core::new(config.clone()),
                 jobs: BTreeMap::new(),
+                settled: VecDeque::new(),
                 shutdown: false,
             }),
             changed: Condvar::new(),
@@ -284,6 +315,7 @@ impl Scheduler {
         if let Some(shed) = reply.shed {
             if let Some(rec) = inner.jobs.get_mut(&shed) {
                 rec.phase = JobPhase::Shed;
+                inner.settle(shed);
             }
         }
         let id = match reply.outcome {
@@ -347,9 +379,10 @@ impl Scheduler {
     }
 
     /// Blocks until the job settles (or `timeout` elapses), then returns its
-    /// final view plus output when done. `None` for an unknown id;
+    /// final view plus output when done. `None` for an unknown id (never
+    /// submitted, or settled long enough ago to have been dropped);
     /// `Some((view, None))` on timeout or non-`Done` terminal states.
-    pub fn wait(&self, id: JobId, timeout: Duration) -> Option<(JobView, Option<JobOutput>)> {
+    pub fn wait(&self, id: JobId, timeout: Duration) -> Option<(JobView, Option<Arc<JobOutput>>)> {
         let deadline = std::time::Instant::now() + timeout;
         let mut inner = self.shared.core.lock().expect("scheduler poisoned");
         loop {
@@ -389,6 +422,7 @@ impl Scheduler {
             CancelOutcome::WasQueued => {
                 if let Some(rec) = inner.jobs.get_mut(&id) {
                     rec.phase = JobPhase::Cancelled;
+                    inner.settle(id);
                 }
                 drop(inner);
                 self.shared.changed.notify_all();
@@ -484,7 +518,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 Ok(output)
             } else {
                 let run_started = Instant::now();
-                let result = spec.run(&shared.exec, &ctl);
+                let result = spec.run(&shared.exec, &ctl).map(Arc::new);
                 if hammervolt_obs::metrics_enabled() {
                     let run_us =
                         u64::try_from(run_started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -510,6 +544,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                     Err(StudyError::Cancelled) => rec.phase = JobPhase::Cancelled,
                     Err(e) => rec.phase = JobPhase::Failed(e.to_string()),
                 }
+                inner.settle(id);
             }
             refresh_gauges(&inner.core);
             // Wake result waiters (and idle peers, harmlessly).

@@ -17,6 +17,16 @@
 //! Every exchange is one request, one response, connection closed — no
 //! keep-alive state to manage across tenants.
 //!
+//! # Limits
+//!
+//! The accept loop blocks in `accept` and hands each connection to its own
+//! handler thread. At most [`MAX_CONNECTIONS`] handlers run at once; a
+//! connection beyond that is answered `503` by the accept thread itself and
+//! closed. The server keeps only the
+//! [`RETAINED_SETTLED`](crate::scheduler::RETAINED_SETTLED) (1024) most recently
+//! settled jobs: older ids answer `404` on every `/studies/{id}` endpoint, like
+//! an id that never existed. Queued and running jobs are always kept.
+//!
 //! # Observability
 //!
 //! Each request gets a request id — the inbound `X-Request-Id` header when
@@ -27,10 +37,11 @@
 //! the deepest execution shard. With a sink installed, each request also
 //! emits (and flushes) one `{"type":"access",…}` JSONL line. With metrics
 //! on, per-endpoint status-class counters (`http_requests_{endpoint}_{class}`)
-//! and the `http_request_us` latency histogram tick. Accepted connections
-//! carry read/write timeouts ([`ServerConfig::read_timeout`] /
-//! [`ServerConfig::write_timeout`]) so a stalled client cannot pin a handler
-//! thread forever.
+//! and the `http_request_us` latency histogram tick, as do
+//! `http_connections_rejected` (the connection cap) and `http_accept_errors`.
+//! Accepted connections carry read/write timeouts
+//! ([`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`]) so a
+//! stalled client cannot pin a handler thread forever.
 
 use crate::api;
 use crate::http::{read_request, write_response, write_stream_head, Request};
@@ -38,16 +49,27 @@ use crate::sched::SchedConfig;
 use crate::scheduler::{JobPhase, JobView, SchedStats, Scheduler, SubmitError};
 use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::ProgressSnapshot;
-use hammervolt_obs::{histogram_record, metrics, prometheus, Span};
+use hammervolt_obs::{counter_add, histogram_record, metrics, prometheus, Span};
 use std::io::{self, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often streaming progress emits a snapshot and the accept loop polls
-/// for shutdown.
-const POLL: Duration = Duration::from_millis(25);
+/// The longest gap between two snapshots on a progress stream while the job
+/// runs; the terminal snapshot goes out as soon as the job settles.
+const STREAM_TICK: Duration = Duration::from_millis(25);
+
+/// Most connections handled at once; the accept thread answers `503` to any
+/// connection beyond it.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long shutdown waits for its wake-up connection to the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Default cap on how long `/result` blocks before answering `202`.
 const DEFAULT_WAIT: Duration = Duration::from_secs(600);
@@ -103,7 +125,6 @@ impl Server {
     /// Propagates bind/configuration failures from the listener.
     pub fn start(addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let timeouts = (config.read_timeout, config.write_timeout);
         let sched = Arc::new(Scheduler::start(config.sched, config.exec));
@@ -141,9 +162,16 @@ impl Server {
         self.stop_accepting();
     }
 
+    /// Sets the stop flag, then wakes the accept thread out of its blocking
+    /// `accept` with one connection of its own and joins it. Should the wake
+    /// connection fail, the thread is left to exit on the next connection it
+    /// accepts rather than hanging the caller (and `Drop`) in `join`.
     fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept.take() {
+        self.stop.store(true, Ordering::SeqCst);
+        let Some(handle) = self.accept.take() else {
+            return;
+        };
+        if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok() {
             let _ = handle.join();
         }
     }
@@ -157,37 +185,72 @@ impl Drop for Server {
     }
 }
 
+/// The address shutdown connects to in order to wake the accept thread: the
+/// bound address, with an unspecified IP (`0.0.0.0`, `[::]`) replaced by the
+/// loopback address of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// One live handler thread's claim on the connection cap; released on drop,
+/// including when the thread fails to spawn and drops its closure.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     sched: &Arc<Scheduler>,
     stop: &Arc<AtomicBool>,
     timeouts: (Option<Duration>, Option<Duration>),
 ) {
+    let live = Arc::new(AtomicUsize::new(0));
     loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(timeouts.0);
-                let _ = stream.set_write_timeout(timeouts.1);
-                let sched = Arc::clone(sched);
-                let _ = std::thread::Builder::new()
-                    .name("hv-serve-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(&sched, stream);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(POLL);
-            }
-            Err(_) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
+        let mut stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(_) => {
+                counter_add!("http_accept_errors", 1);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        let _ = stream.set_read_timeout(timeouts.0);
+        let _ = stream.set_write_timeout(timeouts.1);
+        // Only this thread increments, so the check and the claim below
+        // cannot race past the cap.
+        if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+            counter_add!("http_connections_rejected", 1);
+            let _ = write_response(
+                &mut stream,
+                503,
+                "Service Unavailable",
+                "application/json",
+                api::error_body("too many connections").as_bytes(),
+            );
+            continue;
+        }
+        live.fetch_add(1, Ordering::Relaxed);
+        let slot = Slot(Arc::clone(&live));
+        let sched = Arc::clone(sched);
+        let _ = std::thread::Builder::new()
+            .name("hv-serve-conn".to_string())
+            .spawn(move || {
+                let _slot = slot;
+                let _ = handle_connection(&sched, stream);
+            });
     }
 }
 
@@ -469,8 +532,9 @@ fn progress(sched: &Scheduler, req: &Request, id: u64, out: &mut TcpStream) -> i
     let Some(mut view) = sched.view(id) else {
         return not_found(out);
     };
-    // Close-delimited JSONL stream: one snapshot per poll tick, final
-    // snapshot carries the terminal state, then the connection closes.
+    // Close-delimited JSONL stream: one snapshot per tick while the job
+    // runs, then the terminal snapshot as soon as it settles, then the
+    // connection closes.
     write_stream_head(out, "application/x-ndjson")?;
     loop {
         writeln!(out, "{}", view_body(&view))?;
@@ -478,9 +542,8 @@ fn progress(sched: &Scheduler, req: &Request, id: u64, out: &mut TcpStream) -> i
         if view.phase.is_settled() {
             return Ok(200);
         }
-        std::thread::sleep(POLL);
-        match sched.view(id) {
-            Some(v) => view = v,
+        match sched.wait(id, STREAM_TICK) {
+            Some((v, _)) => view = v,
             None => return Ok(200),
         }
     }

@@ -231,3 +231,36 @@ fn same_inputs_produce_the_same_schedule() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn forget_drops_only_settled_jobs() {
+    // Capacity 2 under shed-oldest: `queued_then_shed` is evicted by the
+    // third submission, so every terminal state is covered.
+    let mut c = core(1, 2, OverflowPolicy::ShedOldest);
+    let running = queued(&mut c, "a", 1, 0);
+    assert_eq!(c.next(0, 1), Some(running));
+    let queued_then_shed = queued(&mut c, "a", 2, 2);
+    let cancelled = queued(&mut c, "a", 3, 3);
+    let still_queued = queued(&mut c, "a", 4, 4);
+    assert_eq!(c.state(queued_then_shed), Some(JobState::Shed));
+    assert_eq!(c.cancel(cancelled), CancelOutcome::WasQueued);
+
+    // Queued and running jobs survive `forget` untouched and still run.
+    c.forget(running);
+    c.forget(still_queued);
+    assert_eq!(c.state(running), Some(JobState::Running { worker: 0 }));
+    assert_eq!(c.state(still_queued), Some(JobState::Queued));
+    c.complete(running);
+    assert_eq!(c.next(0, 5), Some(still_queued));
+    c.complete(still_queued);
+
+    // Every settled state is forgotten; the ids then read as unknown.
+    for id in [running, queued_then_shed, cancelled, still_queued] {
+        c.forget(id);
+        assert_eq!(c.state(id), None, "job {id} must be forgotten");
+        assert_eq!(c.cancel(id), CancelOutcome::Unknown);
+    }
+    // Forgetting an id the core never saw is a no-op.
+    c.forget(999);
+    assert_eq!(c.state(999), None);
+}

@@ -1,7 +1,9 @@
 //! End-to-end conformance for the study server: concurrent HTTP clients
 //! with overlapping specs get byte-identical results to serial engine runs,
 //! identical in-flight specs share one execution, cancel-then-resubmit
-//! resumes from chunk checkpoints, and queue bounds reject as configured.
+//! resumes from chunk checkpoints, queue and connection bounds reject as
+//! configured, only the most recent settled jobs are retained, and shutdown
+//! never hangs on the blocking accept.
 //!
 //! The client side is a deliberately tiny hand-rolled HTTP/1.1 exchange over
 //! `std::net::TcpStream` (one request, read to close) — the same strict
@@ -11,10 +13,13 @@ use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::{JobControl, JobSpec, SweepKind};
 use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::registry::ModuleId;
-use hammervolt_serve::{OverflowPolicy, SchedConfig, Server, ServerConfig};
+use hammervolt_serve::{
+    JobPhase, OverflowPolicy, SchedConfig, Server, ServerConfig, MAX_CONNECTIONS, RETAINED_SETTLED,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("testkit-serve-{tag}-{}", std::process::id()));
@@ -618,4 +623,197 @@ fn malformed_submissions_and_unknown_jobs_are_clean_errors() {
     assert_eq!((status, body.as_slice()), (200, &b"{\"ok\":true}"[..]));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `?stream=1` sends JSONL snapshots until the job settles, ends with the
+/// terminal snapshot, and closes the connection.
+#[test]
+fn progress_stream_ends_with_the_terminal_snapshot_and_closes() {
+    let (server, dir) = server("stream", 1, false);
+    let addr = server.addr();
+    let job = submit(addr, &small_spec(ModuleId::B0, 2));
+    // `http` reads until the server closes, so returning at all proves the
+    // stream ends.
+    let (status, body) = http(
+        addr,
+        "GET",
+        &format!("/studies/{job}/progress?stream=1"),
+        "",
+    );
+    assert_eq!(status, 200);
+    let text = String::from_utf8(body).expect("stream is UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    for line in &lines {
+        let _: serde::Value = serde_json::from_str(line)
+            .unwrap_or_else(|e| panic!("snapshot {line:?} is not JSON: {e}"));
+        assert_eq!(json_u64(line.as_bytes(), "job"), job);
+    }
+    let (last, earlier) = lines.split_last().expect("stream carried no snapshot");
+    assert!(last.contains("\"state\":\"done\""), "last snapshot: {last}");
+    assert!(
+        earlier.iter().all(|l| !l.contains("\"state\":\"done\"")),
+        "the stream must end at the first terminal snapshot: {text}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shuts `server` down on another thread and fails unless it finishes
+/// within 2 s: the accept loop blocks in `accept`, so shutdown must wake it.
+fn assert_prompt_shutdown(server: Server, what: &str) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "shutdown of {what} did not finish within 2 s"
+    );
+    handle.join().expect("shutdown thread panicked");
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_on_any_bind_address() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for after_request in [false, true] {
+            let config = ServerConfig {
+                sched: SchedConfig {
+                    workers: 1,
+                    ..SchedConfig::default()
+                },
+                ..ServerConfig::default()
+            };
+            let server = Server::start(bind, config).expect("bind");
+            if after_request {
+                let port = server.addr().port();
+                let (status, _) = http(
+                    SocketAddr::from(([127, 0, 0, 1], port)),
+                    "GET",
+                    "/healthz",
+                    "",
+                );
+                assert_eq!(status, 200);
+            }
+            let state = if after_request {
+                "after a request"
+            } else {
+                "idle"
+            };
+            assert_prompt_shutdown(server, &format!("{bind} {state}"));
+        }
+    }
+}
+
+/// The server keeps the `RETAINED_SETTLED` most recent settled jobs: the
+/// oldest beyond that answers 404 everywhere, the retained ones still
+/// answer with the exact result bytes.
+#[test]
+fn only_the_most_recent_settled_jobs_are_retained() {
+    let (server, dir) = server("retain", 1, false);
+    let addr = server.addr();
+    let spec = small_spec(ModuleId::B3, 2);
+    let reference = spec
+        .run(&ExecConfig::serial(), &JobControl::new())
+        .expect("serial reference run")
+        .records_jsonl
+        .into_bytes();
+    // A cold run fills the result cache; every job after it is a warm hit.
+    let cold = submit(addr, &spec);
+    let (status, _) = http(
+        addr,
+        "GET",
+        &format!("/studies/{cold}/result?wait_ms=120000"),
+        "",
+    );
+    assert_eq!(status, 200);
+    let sched = server.scheduler();
+    let warm: Vec<u64> = (0..=RETAINED_SETTLED)
+        .map(|_| {
+            // Each job settles before the next submit, so none dedup.
+            let id = sched.submit("anon", spec.clone()).expect("queue has room");
+            let (view, _) = sched
+                .wait(id, Duration::from_secs(120))
+                .expect("a just-submitted job is known");
+            assert_eq!(view.phase, JobPhase::Done);
+            id
+        })
+        .collect();
+    let (first, second, newest) = (warm[0], warm[1], warm[RETAINED_SETTLED]);
+
+    for path in [
+        format!("/studies/{first}"),
+        format!("/studies/{first}/result?wait_ms=0"),
+    ] {
+        let (status, _) = http(addr, "GET", &path, "");
+        assert_eq!(status, 404, "{path} must be dropped");
+    }
+    let (status, _) = http(addr, "GET", &format!("/studies/{second}"), "");
+    assert_eq!(status, 200, "the oldest of the retained jobs is kept");
+    let (status, body) = http(addr, "GET", &format!("/studies/{newest}/result"), "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        body, reference,
+        "retained result diverged from the serial run"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Beyond `MAX_CONNECTIONS` live handlers, the accept thread answers 503
+/// and ticks `http_connections_rejected`; once the handlers are released
+/// the server answers normally again.
+#[test]
+fn connections_beyond_the_cap_get_503() {
+    let _flag = METRICS_FLAG_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    hammervolt_obs::set_metrics(true);
+    let rejected = || {
+        hammervolt_obs::metrics::counters_snapshot()
+            .into_iter()
+            .find(|(name, _)| name == "http_connections_rejected")
+            .map_or(0, |(_, n)| n)
+    };
+    let before = rejected();
+    let config = ServerConfig {
+        sched: SchedConfig {
+            workers: 1,
+            ..SchedConfig::default()
+        },
+        // Silent sockets hold their handler until this timeout, which must
+        // outlast the connects below: a connect that overflows the listen
+        // backlog waits out a SYN retransmit (1 s, then 3 s, ...). The test
+        // releases the handlers itself by closing the sockets.
+        read_timeout: Some(Duration::from_secs(30)),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).expect("bind");
+    let addr = server.addr();
+    // Accepts are served in connect order, so all of these hold a handler
+    // by the time the server accepts the one after them.
+    let silent: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect silent socket"))
+        .collect();
+    let mut extra = TcpStream::connect(addr).expect("connect one more");
+    let mut raw = Vec::new();
+    extra.read_to_end(&mut raw).expect("read the rejection");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 503 "), "over-cap reply: {text}");
+    assert_eq!(rejected() - before, 1);
+    hammervolt_obs::set_metrics(false);
+
+    // Closing the silent sockets ends their handlers; the server recovers.
+    drop(silent);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, _) = http(addr, "GET", "/healthz", "");
+        if status == 200 {
+            break;
+        }
+        assert_eq!(status, 503);
+        assert!(Instant::now() < deadline, "server never left the cap");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
 }
