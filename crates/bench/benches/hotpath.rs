@@ -64,31 +64,22 @@ fn bench_sweep_unit(c: &mut Criterion) {
         ..StudyConfig::quick_subset(&[ModuleId::B3])
     };
     c.bench_function("sweep_unit", |b| {
-        b.iter(|| {
-            black_box(exec::rowhammer_sweep(
-                &cfg,
-                ModuleId::B3,
-                &ExecConfig::serial(),
-            ))
-        })
+        b.iter(|| black_box(exec::rowhammer_sweeps(&cfg, &ExecConfig::serial())))
     });
 }
 
-/// The same single-module sweep with the cross-job blueprint cache on (the
-/// study server's steady state): per-module calibration and the `V_PPmin`
-/// ladder are paid once ever, so iterations measure pure steady-state sweep
-/// work over pooled sessions.
+/// The same single-module sweep reusing one engine configuration, and so
+/// its blueprint cache (the study server's steady state): per-module
+/// calibration and the `V_PPmin` ladder are paid once ever, so iterations
+/// measure pure steady-state sweep work over pooled sessions.
 fn bench_sweep_unit_warm(c: &mut Criterion) {
     let cfg = StudyConfig {
         rows_per_chunk: 2,
         ..StudyConfig::quick_subset(&[ModuleId::B3])
     };
-    let exec = ExecConfig {
-        share_blueprints: true,
-        ..ExecConfig::serial()
-    };
+    let exec = ExecConfig::serial();
     c.bench_function("sweep_unit_warm", |b| {
-        b.iter(|| black_box(exec::rowhammer_sweep(&cfg, ModuleId::B3, &exec)))
+        b.iter(|| black_box(exec::rowhammer_sweeps(&cfg, &exec)))
     });
 }
 

@@ -21,9 +21,13 @@
 //!
 //! A unit's records are then a pure function of the study configuration and
 //! the unit's coordinates — never of scheduling — so sweep output is
-//! **byte-identical for any worker count**, including one. The
-//! single-threaded entry points in [`crate::study`] delegate here with
-//! [`ExecConfig::serial`], so there is exactly one semantics.
+//! **byte-identical for any worker count**, including one.
+//!
+//! One driver, keyed by [`SweepKind`], runs all three registry sweeps. Its
+//! only public entry points are [`rowhammer_sweeps`], [`trcd_sweeps`] and
+//! [`retention_sweeps`]; [`JobSpec::run`](crate::job::JobSpec::run) reaches
+//! the same driver under its [`JobControl`]. A single-module sweep is a
+//! configuration whose `modules` is `[id]`.
 //!
 //! # Sweep cache
 //!
@@ -48,9 +52,10 @@ use crate::alg2;
 use crate::alg3;
 use crate::error::StudyError;
 use crate::experiment::vpp_ladder;
-use crate::job::JobControl;
+use crate::job::{JobControl, SweepKind};
 use crate::patterns::DataPattern;
-use crate::records::{RetentionRecord, RowHammerRecord, TrcdRecord};
+use crate::population;
+use crate::records::{write_jsonl, RetentionRecord, RowHammerRecord, TrcdRecord};
 use crate::study::{
     level_matches, thin_levels, ModuleHammerSweep, ModuleRetentionSweep, ModuleTrcdSweep,
     StudyConfig,
@@ -63,12 +68,12 @@ use hammervolt_softmc::SoftMc;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// How the engine runs: worker count, optional sweep cache, and optional
-/// chunk-granular checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How the engine runs: worker count, optional sweep cache, optional
+/// chunk-granular checkpoints, and the blueprint cache its sweeps share.
+#[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
@@ -82,31 +87,12 @@ pub struct ExecConfig {
     /// module-level cache entry lands. Output stays byte-identical to an
     /// uninterrupted run.
     pub checkpoints: bool,
-    /// Recycle [`SoftMc`] sessions across a worker's units through a
-    /// [`ModulePool`] (O(touched rows) pristine reset) instead of cloning
-    /// the blueprint per unit. Byte-identical either way — the pool's reset
-    /// is asserted pristine-equivalent in debug builds and proven so by the
-    /// testkit pool suite — so this defaults to on; `HAMMERVOLT_POOL=0`
-    /// turns it off for A/B comparison.
-    pub pool_sessions: bool,
-    /// Serve calibrated blueprints (including the memoized `V_PPmin`
-    /// search) from the process-wide cross-job LRU keyed by
-    /// `(module, seed, geometry)`. Off by default so standalone runs and
-    /// tests stay fully independent; the study server enables it, letting
-    /// jobs that share modules skip recalibration.
-    pub share_blueprints: bool,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            jobs: 0,
-            cache_dir: None,
-            checkpoints: false,
-            pool_sessions: true,
-            share_blueprints: false,
-        }
-    }
+    /// Calibrated blueprints shared by every sweep run under this
+    /// configuration or any clone of it. Every constructor starts a fresh,
+    /// empty cache, so the study server's one configuration shares across
+    /// all its jobs while separately built configurations stay independent.
+    /// Blueprints are pure values: sharing never changes an output byte.
+    pub blueprints: BlueprintCache,
 }
 
 impl ExecConfig {
@@ -134,14 +120,12 @@ impl ExecConfig {
     }
 
     /// Reads `HAMMERVOLT_JOBS` (worker count, `0` = auto),
-    /// `HAMMERVOLT_CACHE_DIR` (cache directory), `HAMMERVOLT_RESUME`
-    /// (chunk checkpoints, truthy = on), and `HAMMERVOLT_POOL` (session
-    /// pooling, falsy = off) from the environment. Unset (or empty)
-    /// variables leave the defaults: one worker per CPU, no cache, no
-    /// checkpoints, pooling on. A variable that is set but unparsable or
-    /// unusable is reported through the observability event sink (stderr
-    /// when no sink is installed) before falling back, never silently
-    /// ignored.
+    /// `HAMMERVOLT_CACHE_DIR` (cache directory) and `HAMMERVOLT_RESUME`
+    /// (chunk checkpoints, truthy = on) from the environment. Unset (or
+    /// empty) variables leave the defaults: one worker per CPU, no cache, no
+    /// checkpoints. A variable that is set but unparsable or unusable is
+    /// reported through the observability event sink (stderr when no sink is
+    /// installed) before falling back, never silently ignored.
     pub fn from_env() -> Self {
         let jobs = match std::env::var("HAMMERVOLT_JOBS") {
             Ok(v) => match v.parse::<usize>() {
@@ -199,15 +183,10 @@ impl ExecConfig {
             Ok(v) => !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"),
             Err(_) => false,
         };
-        let pool_sessions = match std::env::var("HAMMERVOLT_POOL") {
-            Ok(v) if !v.is_empty() => v != "0" && !v.eq_ignore_ascii_case("false"),
-            _ => true,
-        };
         ExecConfig {
             jobs,
             cache_dir,
             checkpoints,
-            pool_sessions,
             ..ExecConfig::default()
         }
     }
@@ -237,10 +216,11 @@ use hammervolt_par::parallel_map_cancellable_with;
 static POOL_CREATES: AtomicU64 = AtomicU64::new(0);
 static POOL_REUSES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-lifetime session-pool totals: `(sessions created, sessions
-/// recycled)`. A plain side channel (static atomics, not `obs` counters) so
-/// the default sweep path's observability stream — pinned by the manifest
-/// goldens — is identical with pooling on or off.
+/// Process-lifetime totals over every [`ModulePool`]: `(sessions created,
+/// sessions recycled)`. A plain side channel (static atomics, not `obs`
+/// counters) so the observability stream pinned by the manifest goldens
+/// does not depend on how units land on pooled sessions. Each pool also
+/// keeps its own counts ([`ModulePool::stats`]).
 pub fn pool_stats() -> (u64, u64) {
     (
         POOL_CREATES.load(Ordering::Relaxed),
@@ -261,16 +241,17 @@ pub fn pool_stats() -> (u64, u64) {
 #[derive(Debug)]
 pub struct ModulePool {
     slots: Vec<Option<SoftMc>>,
-    enabled: bool,
+    created: u64,
+    reused: u64,
 }
 
 impl ModulePool {
-    /// An empty pool with one slot per module; `enabled = false` degrades
-    /// every checkout to a fresh instantiation (the pre-pooling behavior).
-    pub fn new(modules: usize, enabled: bool) -> Self {
+    /// An empty pool with one slot per module.
+    pub fn new(modules: usize) -> Self {
         ModulePool {
             slots: (0..modules).map(|_| None).collect(),
-            enabled,
+            created: 0,
+            reused: 0,
         }
     }
 
@@ -279,9 +260,11 @@ impl ModulePool {
     /// `SoftMc::new(blueprint.instantiate())` otherwise.
     pub fn checkout(&mut self, module_index: usize, blueprint: &ModuleBlueprint) -> SoftMc {
         if let Some(mc) = self.slots.get_mut(module_index).and_then(Option::take) {
+            self.reused += 1;
             POOL_REUSES.fetch_add(1, Ordering::Relaxed);
             return mc;
         }
+        self.created += 1;
         POOL_CREATES.fetch_add(1, Ordering::Relaxed);
         SoftMc::new(blueprint.instantiate())
     }
@@ -298,88 +281,99 @@ impl ModulePool {
     /// sessions hold only pristine arenas plus the cheap scalar row
     /// parameters.
     pub fn check_in(&mut self, module_index: usize, mut mc: SoftMc) {
-        if self.enabled {
-            if let Some(slot) = self.slots.get_mut(module_index) {
-                mc.recycle();
-                *slot = Some(mc);
-            }
+        if let Some(slot) = self.slots.get_mut(module_index) {
+            mc.recycle();
+            *slot = Some(mc);
         }
+    }
+
+    /// This pool's own `(sessions created, sessions recycled)`.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.created, self.reused)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-job blueprint cache
+// Blueprint cache
 // ---------------------------------------------------------------------------
 
-const BLUEPRINT_CACHE_CAP: usize = 64;
+const BLUEPRINT_CAP: usize = 64;
 
-static BLUEPRINT_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static BLUEPRINT_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+static BLUEPRINT_HITS: AtomicU64 = AtomicU64::new(0);
+static BLUEPRINT_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-lifetime cross-job blueprint-cache totals: `(hits, misses)`.
+/// Process-lifetime totals over every [`BlueprintCache`]: `(hits, misses)`.
 /// Same side-channel design as [`pool_stats`].
 pub fn blueprint_cache_stats() -> (u64, u64) {
     (
-        BLUEPRINT_CACHE_HITS.load(Ordering::Relaxed),
-        BLUEPRINT_CACHE_MISSES.load(Ordering::Relaxed),
+        BLUEPRINT_HITS.load(Ordering::Relaxed),
+        BLUEPRINT_MISSES.load(Ordering::Relaxed),
     )
 }
 
-/// Cross-job cache of calibrated blueprints (each carrying its memoized
-/// `V_PPmin` search), keyed by everything blueprint construction reads:
-/// module identity, specimen seed, geometry. A bounded LRU under one mutex
-/// — entries are `Arc`-shared, so a hit is a pointer clone and eviction
-/// never invalidates a running sweep. Small linear scan: the whole fleet is
-/// 30 modules.
-struct BlueprintCache {
-    /// Most-recently-used last.
-    entries: Vec<((ModuleId, u64, Geometry), Arc<ModuleBlueprint>)>,
+/// What blueprint construction reads: module identity, specimen seed,
+/// geometry.
+type BlueprintKey = (ModuleId, u64, Geometry);
+
+/// Cached blueprints, most-recently-used last.
+type BlueprintEntries = Vec<(BlueprintKey, Arc<ModuleBlueprint>)>;
+
+/// A handle on a bounded MRU of calibrated blueprints (each carrying its
+/// memoized `V_PPmin` search) keyed by [`BlueprintKey`]. Clones share one
+/// cache; [`Default`] makes a fresh, empty one. Entries are `Arc`-shared,
+/// so a hit is a pointer clone and eviction never invalidates a running
+/// sweep. Small linear scan: the whole fleet is 30 modules.
+#[derive(Clone, Default)]
+pub struct BlueprintCache(Arc<Mutex<BlueprintEntries>>);
+
+impl std::fmt::Debug for BlueprintCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlueprintCache")
+            .field("entries", &self.lock().len())
+            .finish()
+    }
 }
 
-static BLUEPRINT_CACHE: Mutex<BlueprintCache> = Mutex::new(BlueprintCache {
-    entries: Vec::new(),
-});
-
-/// One module's calibrated blueprint for `config`, from the cross-job cache
-/// when `exec.share_blueprints` is set (jobs sharing modules skip the
-/// calibration bisection *and* the `V_PPmin` ladder), freshly calibrated
-/// otherwise.
-fn blueprint_for(
-    config: &StudyConfig,
-    exec: &ExecConfig,
-    id: ModuleId,
-) -> Result<Arc<ModuleBlueprint>, StudyError> {
-    if !exec.share_blueprints {
-        return config.blueprint(id).map(Arc::new);
+impl BlueprintCache {
+    fn lock(&self) -> MutexGuard<'_, BlueprintEntries> {
+        self.0.lock().expect("blueprint cache poisoned")
     }
-    let key = (id, config.module_seed(id), config.geometry_for(id));
-    {
-        let mut cache = BLUEPRINT_CACHE.lock().expect("blueprint cache poisoned");
-        if let Some(pos) = cache.entries.iter().position(|(k, _)| *k == key) {
-            let entry = cache.entries.remove(pos);
-            let bp = Arc::clone(&entry.1);
-            cache.entries.push(entry);
-            BLUEPRINT_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+
+    /// One module's calibrated blueprint for `config`: the cached one when
+    /// this cache has seen the same module, seed and geometry before,
+    /// otherwise calibrated now and cached.
+    fn get(&self, config: &StudyConfig, id: ModuleId) -> Result<Arc<ModuleBlueprint>, StudyError> {
+        let key = (id, config.module_seed(id), config.geometry_for(id));
+        let cached = touch(&mut self.lock(), &key);
+        if let Some(bp) = cached {
+            BLUEPRINT_HITS.fetch_add(1, Ordering::Relaxed);
             return Ok(bp);
         }
+        // Calibrate outside the lock: concurrent jobs may briefly duplicate
+        // the work, but blueprints are pure values, so either result is
+        // correct.
+        BLUEPRINT_MISSES.fetch_add(1, Ordering::Relaxed);
+        let bp = Arc::new(config.blueprint(id)?);
+        let mut entries = self.lock();
+        if let Some(raced) = touch(&mut entries, &key) {
+            // A racing job landed the same key first; adopt its entry.
+            return Ok(raced);
+        }
+        if entries.len() >= BLUEPRINT_CAP {
+            entries.remove(0);
+        }
+        entries.push((key, Arc::clone(&bp)));
+        Ok(bp)
     }
-    // Calibrate outside the lock: concurrent jobs may briefly duplicate the
-    // work, but blueprints are pure values, so either result is correct.
-    BLUEPRINT_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let bp = Arc::new(config.blueprint(id)?);
-    let mut cache = BLUEPRINT_CACHE.lock().expect("blueprint cache poisoned");
-    if let Some(pos) = cache.entries.iter().position(|(k, _)| *k == key) {
-        // A racing job landed the same key first; adopt its entry.
-        let entry = cache.entries.remove(pos);
-        let bp = Arc::clone(&entry.1);
-        cache.entries.push(entry);
-        return Ok(bp);
-    }
-    if cache.entries.len() >= BLUEPRINT_CACHE_CAP {
-        cache.entries.remove(0);
-    }
-    cache.entries.push((key, Arc::clone(&bp)));
-    Ok(bp)
+}
+
+/// The entry for `key`, moved to the most-recently-used end.
+fn touch(entries: &mut BlueprintEntries, key: &BlueprintKey) -> Option<Arc<ModuleBlueprint>> {
+    let pos = entries.iter().position(|(k, _)| k == key)?;
+    let entry = entries.remove(pos);
+    let bp = Arc::clone(&entry.1);
+    entries.push(entry);
+    Some(bp)
 }
 
 // ---------------------------------------------------------------------------
@@ -403,12 +397,9 @@ struct UnitOut<R> {
     per_level: Vec<Vec<R>>,
 }
 
-/// Brings up a unit's private session: a pristine clone of the module's
-/// shared blueprint (spec, vendor profile, and `calibrate_eta_mean` are
-/// paid once per module, not per chunk), `V_PPmin` search, then the noise
-/// stream rebased onto the unit's chunk seed so results are independent of
-/// scheduling. The chunk's row-parameter table is pre-derived so the
-/// ladder's hammer loops never derive parameters mid-sweep.
+/// A unit's measured ladder: the levels swept and the records per level.
+type Levels<R> = (Vec<f64>, Vec<Vec<R>>);
+
 /// Starts a unit sub-phase timer when metrics are enabled; the disabled
 /// path costs one relaxed load, like every instrumentation site here.
 fn subphase_timer() -> Option<Instant> {
@@ -417,7 +408,7 @@ fn subphase_timer() -> Option<Instant> {
 
 /// Closes a unit bring-up timing window: one sample in the `exec_bringup_us`
 /// histogram plus the manifest's accumulated `unit:bringup` phase — the
-/// bring-up half of the bring-up-vs-steady profiling split (ROADMAP item 4).
+/// bring-up half of the bring-up-vs-steady profiling split.
 fn record_bringup(t0: Option<Instant>) {
     if let Some(t0) = t0 {
         let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -437,16 +428,21 @@ fn record_steady(t0: Option<Instant>) {
     }
 }
 
+/// Brings up a unit's private session: a pristine session for the module
+/// from the worker's pool (spec, vendor profile, and `calibrate_eta_mean`
+/// are paid once per module, not per chunk), the `V_PPmin` search, the
+/// unit's temperature when it runs hot, then the noise stream rebased onto
+/// the unit's chunk seed so results are independent of scheduling. The
+/// chunk's row-parameter table is pre-derived so the ladder's loops never
+/// derive parameters mid-sweep.
 fn bring_up_unit(
     config: &StudyConfig,
     pool: &mut ModulePool,
     blueprint: &ModuleBlueprint,
-    module_index: usize,
-    id: ModuleId,
-    chunk: u64,
-    rows: &[u32],
+    unit: &Unit,
+    temperature_c: Option<f64>,
 ) -> Result<(SoftMc, f64), StudyError> {
-    let mut mc = pool.checkout(module_index, blueprint);
+    let mut mc = pool.checkout(unit.module_index, blueprint);
     let (vpp_min, steps) = match blueprint.vppmin_memo() {
         // The search result is a pure function of the calibrated module, so
         // a memoized value replaces the ladder outright. Checkout leaves the
@@ -459,28 +455,56 @@ fn bring_up_unit(
     // pinned observability goldens) are identical to the per-unit-search
     // engine.
     mc.record_vppmin_search(steps);
-    mc.module_mut()
-        .reseed_noise(hash::chunk_seed(config.module_seed(id), config.bank, chunk));
-    mc.module_mut().prepare_rows(config.bank, rows);
+    if let Some(t) = temperature_c {
+        mc.set_temperature(t)?;
+    }
+    mc.module_mut().reseed_noise(hash::chunk_seed(
+        config.module_seed(unit.id),
+        config.bank,
+        unit.chunk,
+    ));
+    mc.module_mut().prepare_rows(config.bank, &unit.rows);
     Ok((mc, vpp_min))
 }
 
-/// Alg. 1 unit: the full ladder over this chunk's rows, with per-row WCDP
-/// reuse across levels (§4.1/footnote 9 — the WCDP search runs once at
-/// nominal `V_PP`, the chosen pattern is reused below).
-fn hammer_unit(
-    config: &StudyConfig,
+/// Runs one unit: bring-up, then the kind's `ladder` over the unit's rows,
+/// timed under the bring-up/steady split. The session goes back to the pool
+/// only when the ladder succeeds.
+fn run_unit<R, L>(
+    sweep: &Sweep<'_>,
     pool: &mut ModulePool,
     blueprint: &ModuleBlueprint,
-    module_index: usize,
-    id: ModuleId,
-    chunk: u64,
-    rows: &[u32],
-) -> Result<UnitOut<RowHammerRecord>, StudyError> {
+    unit: &Unit,
+    ladder: &L,
+) -> Result<UnitOut<R>, StudyError>
+where
+    L: Fn(&StudyConfig, &mut SoftMc, ModuleId, f64, &[u32]) -> Result<Levels<R>, StudyError>,
+{
     let timer = subphase_timer();
-    let (mut mc, vpp_min) = bring_up_unit(config, pool, blueprint, module_index, id, chunk, rows)?;
+    let (mut mc, vpp_min) =
+        bring_up_unit(sweep.config, pool, blueprint, unit, sweep.temperature_c)?;
     record_bringup(timer);
     let timer = subphase_timer();
+    let (levels, per_level) = ladder(sweep.config, &mut mc, unit.id, vpp_min, &unit.rows)?;
+    record_steady(timer);
+    pool.check_in(unit.module_index, mc);
+    Ok(UnitOut {
+        vpp_min,
+        levels,
+        per_level,
+    })
+}
+
+/// Alg. 1 ladder: the full ladder over a unit's rows, with per-row WCDP
+/// reuse across levels (§4.1/footnote 9 — the WCDP search runs once at
+/// nominal `V_PP`, the chosen pattern is reused below).
+fn hammer_ladder(
+    config: &StudyConfig,
+    mc: &mut SoftMc,
+    id: ModuleId,
+    vpp_min: f64,
+    rows: &[u32],
+) -> Result<Levels<RowHammerRecord>, StudyError> {
     let levels = vpp_ladder(vpp_min);
     let mut per_level: Vec<Vec<RowHammerRecord>> = levels.iter().map(|_| Vec::new()).collect();
     // Per-row WCDP memo, dense over the chunk's row list: the ladder probes
@@ -502,7 +526,7 @@ fn hammer_unit(
             } else {
                 config.alg1
             };
-            let m = match alg1::measure_row_with(&mut mc, config.bank, row, &cfg, &mut scratch) {
+            let m = match alg1::measure_row_with(mc, config.bank, row, &cfg, &mut scratch) {
                 Ok(m) => m,
                 Err(StudyError::NoAggressor { .. }) => continue,
                 Err(e) => return Err(e),
@@ -519,84 +543,52 @@ fn hammer_unit(
             });
         }
     }
-    record_steady(timer);
-    pool.check_in(module_index, mc);
-    Ok(UnitOut {
-        vpp_min,
-        levels,
-        per_level,
-    })
+    Ok((levels, per_level))
 }
 
-/// Alg. 2 unit: the thinned ladder over this chunk's rows.
-#[allow(clippy::too_many_arguments)] // the sharding driver's unit shape plus the Alg. 2 level cap
-fn trcd_unit(
-    config: &StudyConfig,
-    pool: &mut ModulePool,
-    blueprint: &ModuleBlueprint,
-    module_index: usize,
-    id: ModuleId,
+/// Alg. 2 ladder: the ladder thinned to `levels_cap` levels over a unit's
+/// rows.
+fn trcd_ladder(
     levels_cap: usize,
-    chunk: u64,
-    rows: &[u32],
-) -> Result<UnitOut<TrcdRecord>, StudyError> {
-    let timer = subphase_timer();
-    let (mut mc, vpp_min) = bring_up_unit(config, pool, blueprint, module_index, id, chunk, rows)?;
-    record_bringup(timer);
-    let timer = subphase_timer();
-    let levels = thin_levels(&vpp_ladder(vpp_min), levels_cap.max(2));
-    let mut per_level: Vec<Vec<TrcdRecord>> = levels.iter().map(|_| Vec::new()).collect();
-    for (li, &vpp) in levels.iter().enumerate() {
-        mc.set_vpp(vpp)?;
-        for &row in rows {
-            let m = alg2::measure_row(&mut mc, config.bank, row, &config.alg2)?;
-            per_level[li].push(TrcdRecord {
-                module: id,
-                vpp,
-                bank: config.bank,
-                row,
-                t_rcd_min_ns: m.t_rcd_min_ns,
-            });
+) -> impl Fn(
+    &StudyConfig,
+    &mut SoftMc,
+    ModuleId,
+    f64,
+    &[u32],
+) -> Result<Levels<TrcdRecord>, StudyError>
+       + Sync {
+    move |config, mc, id, vpp_min, rows| {
+        let levels = thin_levels(&vpp_ladder(vpp_min), levels_cap.max(2));
+        let mut per_level: Vec<Vec<TrcdRecord>> = levels.iter().map(|_| Vec::new()).collect();
+        for (li, &vpp) in levels.iter().enumerate() {
+            mc.set_vpp(vpp)?;
+            for &row in rows {
+                let m = alg2::measure_row(mc, config.bank, row, &config.alg2)?;
+                per_level[li].push(TrcdRecord {
+                    module: id,
+                    vpp,
+                    bank: config.bank,
+                    row,
+                    t_rcd_min_ns: m.t_rcd_min_ns,
+                });
+            }
         }
+        Ok((levels, per_level))
     }
-    record_steady(timer);
-    pool.check_in(module_index, mc);
-    Ok(UnitOut {
-        vpp_min,
-        levels,
-        per_level,
-    })
 }
 
-/// Alg. 3 unit: the retention levels over this chunk's rows at 80 °C.
-fn retention_unit(
+/// Alg. 3 ladder: the retention levels (clamped at `V_PPmin`) over a unit's
+/// rows. The unit was brought up at [`RETENTION_TEMP_C`]; the `V_PP` the
+/// session sat at while the thermal loop settled is unobservable, because
+/// the first measurement follows the first `set_vpp` below.
+fn retention_ladder(
     config: &StudyConfig,
-    pool: &mut ModulePool,
-    blueprint: &ModuleBlueprint,
-    module_index: usize,
+    mc: &mut SoftMc,
     id: ModuleId,
-    chunk: u64,
+    vpp_min: f64,
     rows: &[u32],
-) -> Result<UnitOut<RetentionRecord>, StudyError> {
-    // Retention's bring-up is inline (it runs hot, at 80 °C, instead of the
-    // shared nominal path) but profiles under the same split. The V_PP the
-    // session sits at while the thermal loop settles is unobservable — the
-    // first measurement happens after the first ladder `set_vpp` below — so
-    // the memoized path (session at nominal) and a fresh search (session at
-    // V_PPmin) produce identical records.
-    let timer = subphase_timer();
-    let mut mc = pool.checkout(module_index, blueprint);
-    let (vpp_min, steps) = match blueprint.vppmin_memo() {
-        Some(memo) => memo,
-        None => mc.calibrate_vppmin()?,
-    };
-    mc.record_vppmin_search(steps);
-    mc.set_temperature(80.0)?;
-    mc.module_mut()
-        .reseed_noise(hash::chunk_seed(config.module_seed(id), config.bank, chunk));
-    mc.module_mut().prepare_rows(config.bank, rows);
-    record_bringup(timer);
-    let timer = subphase_timer();
+) -> Result<Levels<RetentionRecord>, StudyError> {
     let mut levels: Vec<f64> = config
         .retention_vpp_levels
         .iter()
@@ -607,7 +599,7 @@ fn retention_unit(
     for (li, &vpp) in levels.iter().enumerate() {
         mc.set_vpp(vpp)?;
         for &row in rows {
-            let m = alg3::measure_row(&mut mc, config.bank, row, &config.alg3)?;
+            let m = alg3::measure_row(mc, config.bank, row, &config.alg3)?;
             for p in &m.points {
                 per_level[li].push(RetentionRecord {
                     module: id,
@@ -620,58 +612,70 @@ fn retention_unit(
             }
         }
     }
-    record_steady(timer);
-    pool.check_in(module_index, mc);
-    Ok(UnitOut {
-        vpp_min,
-        levels,
-        per_level,
-    })
+    Ok((levels, per_level))
 }
 
 // ---------------------------------------------------------------------------
 // Sharded driver
 // ---------------------------------------------------------------------------
 
+/// The temperature Alg. 3 measures retention at.
+const RETENTION_TEMP_C: f64 = 80.0;
+
 /// One module's assembled sweep: `(vpp_min, levels, records)`.
 type Assembled<R> = (f64, Vec<f64>, Vec<R>);
+
+/// One registry sweep in flight: everything the cache and sharding stages
+/// read besides the module list.
+struct Sweep<'a> {
+    config: &'a StudyConfig,
+    exec: &'a ExecConfig,
+    ctl: &'a JobControl,
+    /// The cache-kind string ([`SweepKind::cache_kind`]).
+    kind: &'static str,
+    /// The kind's cache-key parameter: the `t_RCD` level cap, else 0.
+    extra: u64,
+    /// Set for kinds whose units run hot (retention).
+    temperature_c: Option<f64>,
+    /// The sweep-wide span shard spans attach to.
+    parent_span: u64,
+}
+
+impl Sweep<'_> {
+    /// The cache key of module `id`'s sweep (see [`sweep_key`]).
+    fn key(&self, id: ModuleId) -> u64 {
+        sweep_key(self.config, id, self.kind, self.extra)
+    }
+}
 
 /// Plans the `(module, chunk)` units for a module list, runs them on the
 /// worker pool, and reassembles each module's records in canonical order
 /// (level-major, chunks ascending — the order a serial sweep produces).
 ///
-/// `parent_span` is the sweep-wide span id shard spans attach to (`0` for
-/// none); instrumentation is a pure side channel and never affects which
-/// units run or how their outputs assemble.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<R, F>(
-    config: &StudyConfig,
+/// Instrumentation is a pure side channel and never affects which units
+/// run or how their outputs assemble.
+fn run_sharded<R, L>(
+    sweep: &Sweep<'_>,
     modules: &[ModuleId],
-    exec: &ExecConfig,
-    kind: &str,
-    extra: u64,
-    parent_span: u64,
-    ctl: &JobControl,
-    run_unit: F,
+    ladder: &L,
 ) -> Result<Vec<Assembled<R>>, StudyError>
 where
     R: Send + Serialize + for<'de> Deserialize<'de>,
-    F: Fn(
-            &mut ModulePool,
-            &ModuleBlueprint,
-            usize,
-            ModuleId,
-            u64,
-            &[u32],
-        ) -> Result<UnitOut<R>, StudyError>
-        + Sync,
+    L: Fn(&StudyConfig, &mut SoftMc, ModuleId, f64, &[u32]) -> Result<Levels<R>, StudyError> + Sync,
 {
+    let Sweep {
+        config,
+        exec,
+        ctl,
+        kind,
+        ..
+    } = *sweep;
     // The shared immutable stage of bring-up: one calibrated blueprint per
-    // module (V_PPmin memo included), served to every work unit — through
-    // the cross-job cache when the config shares blueprints.
+    // module (V_PPmin memo included), served to every work unit through the
+    // configuration's blueprint cache.
     let blueprints: Vec<Arc<ModuleBlueprint>> = modules
         .iter()
-        .map(|&id| blueprint_for(config, exec, id))
+        .map(|&id| exec.blueprints.get(config, id))
         .collect::<Result<_, _>>()?;
     let mut units: Vec<Unit> = Vec::new();
     for (module_index, &id) in modules.iter().enumerate() {
@@ -705,10 +709,7 @@ where
         None
     };
     let module_keys: Vec<u64> = if ckpt_dir.is_some() {
-        modules
-            .iter()
-            .map(|&id| sweep_key(config, id, kind, extra))
-            .collect()
+        modules.iter().map(|&id| sweep.key(id)).collect()
     } else {
         Vec::new()
     };
@@ -726,9 +727,9 @@ where
         &units,
         exec.effective_jobs(),
         &ctl.cancel,
-        || ModulePool::new(modules.len(), exec.pool_sessions),
+        || ModulePool::new(modules.len()),
         |pool, u| {
-            let mut span = Span::begin_child_of(parent_span, "exec.shard");
+            let mut span = Span::begin_child_of(sweep.parent_span, "exec.shard");
             span.field_str("module", &u.id.label());
             span.field_u64("bank", u64::from(config.bank));
             span.field_u64("chunk", u.chunk);
@@ -761,14 +762,7 @@ where
                 Some(unit_out) => Ok(unit_out),
                 None => {
                     let timed = hammervolt_obs::metrics_enabled().then(Instant::now);
-                    let out = run_unit(
-                        pool,
-                        &blueprints[u.module_index],
-                        u.module_index,
-                        u.id,
-                        u.chunk,
-                        &u.rows,
-                    );
+                    let out = run_unit(sweep, pool, &blueprints[u.module_index], u, ladder);
                     if let Some(t0) = timed {
                         histogram_record!("exec_unit_us", t0.elapsed().as_micros());
                     }
@@ -1062,20 +1056,20 @@ pub fn cache_store<T: Serialize>(path: &Path, key: u64, value: &T) {
 }
 
 /// Runs `compute` for the modules missing from the cache, merging cached
-/// and fresh sweeps back into the caller's module order.
-fn with_cache<T, G>(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    exec: &ExecConfig,
-    kind: &str,
-    extra: u64,
-    ctl: &JobControl,
-    compute: G,
-) -> Result<Vec<T>, StudyError>
+/// and fresh sweeps back into `config.modules` order.
+fn with_cache<T, G>(sweep: &Sweep<'_>, compute: G) -> Result<Vec<T>, StudyError>
 where
     T: Serialize + for<'de> Deserialize<'de>,
     G: FnOnce(&[ModuleId]) -> Result<Vec<T>, StudyError>,
 {
+    let Sweep {
+        config,
+        exec,
+        ctl,
+        kind,
+        ..
+    } = *sweep;
+    let modules = &config.modules;
     // Touch-register the cache counters so every manifest reports them,
     // zero included — a run without a cache dir should say "0 hits", not
     // omit the counter.
@@ -1091,7 +1085,7 @@ where
     let mut slots: Vec<Option<T>> = Vec::with_capacity(modules.len());
     let mut missing: Vec<ModuleId> = Vec::new();
     for &id in modules {
-        let key = sweep_key(config, id, kind, extra);
+        let key = sweep.key(id);
         let hit = match cache_read::<T>(&cache_path(dir, kind, id, key), key) {
             CacheRead::Hit(value) => {
                 counter_add!("cache_hits", 1);
@@ -1129,16 +1123,16 @@ where
     let mut fresh = fresh.into_iter();
     for (slot, &id) in slots.iter_mut().zip(modules) {
         if slot.is_none() {
-            let sweep = fresh.next().expect("compute returns one sweep per module");
-            let key = sweep_key(config, id, kind, extra);
-            cache_store(&cache_path(dir, kind, id, key), key, &sweep);
+            let value = fresh.next().expect("compute returns one sweep per module");
+            let key = sweep.key(id);
+            cache_store(&cache_path(dir, kind, id, key), key, &value);
             // The sweep-level entry supersedes the module's chunk
             // checkpoints; sweep them away so a cache dir doesn't
             // accumulate one file per chunk forever.
             if exec.checkpoints {
                 clear_unit_checkpoints(dir, kind, id, key);
             }
-            *slot = Some(sweep);
+            *slot = Some(value);
         }
     }
     Ok(slots
@@ -1171,38 +1165,89 @@ fn begin_sweep(config: &StudyConfig, exec: &ExecConfig, kind: &str, modules: usi
     span
 }
 
-fn hammer_sweeps_for(
+/// The one sweep driver: runs registry sweep `kind` over every module in
+/// `config` under `ctl` — manifest phase, sweep span, module-level cache,
+/// sharded units — and builds each module's sweep from its stitched records
+/// with `build`. `ladder` measures one unit's rows.
+fn sweeps<R, S, L>(
     config: &StudyConfig,
-    modules: &[ModuleId],
+    kind: &SweepKind,
     exec: &ExecConfig,
     ctl: &JobControl,
-) -> Result<Vec<ModuleHammerSweep>, StudyError> {
-    let _phase = manifest::phase("sweep:hammer");
-    let sweep_span = begin_sweep(config, exec, "hammer", modules.len());
-    let parent = sweep_span.id();
-    with_cache(config, modules, exec, "hammer", 0, ctl, |missing| {
-        let assembled = run_sharded(
-            config,
-            missing,
-            exec,
-            "hammer",
-            0,
-            parent,
-            ctl,
-            |pool, bp, mi, id, chunk, rows| hammer_unit(config, pool, bp, mi, id, chunk, rows),
-        )?;
+    ladder: L,
+    build: fn(ModuleId, Assembled<R>) -> S,
+) -> Result<Vec<S>, StudyError>
+where
+    R: Send + Serialize + for<'de> Deserialize<'de>,
+    S: Serialize + for<'de> Deserialize<'de>,
+    L: Fn(&StudyConfig, &mut SoftMc, ModuleId, f64, &[u32]) -> Result<Levels<R>, StudyError> + Sync,
+{
+    let name = kind.cache_kind();
+    let _phase = manifest::phase(&format!("sweep:{name}"));
+    let sweep_span = begin_sweep(config, exec, name, config.modules.len());
+    let sweep = Sweep {
+        config,
+        exec,
+        ctl,
+        kind: name,
+        extra: match kind {
+            SweepKind::Trcd { levels_cap } => *levels_cap as u64,
+            _ => 0,
+        },
+        temperature_c: matches!(kind, SweepKind::Retention).then_some(RETENTION_TEMP_C),
+        parent_span: sweep_span.id(),
+    };
+    with_cache(&sweep, |missing| {
+        let assembled = run_sharded(&sweep, missing, &ladder)?;
         Ok(missing
             .iter()
             .zip(assembled)
-            .map(|(&id, (vpp_min, vpp_levels, records))| ModuleHammerSweep {
-                module: id,
-                vpp_min,
-                vpp_levels,
-                records,
-            })
+            .map(|(&id, module)| build(id, module))
             .collect())
     })
 }
+
+// How the driver builds each kind's module sweep from its stitched records.
+
+fn hammer_sweep(
+    module: ModuleId,
+    (vpp_min, vpp_levels, records): Assembled<RowHammerRecord>,
+) -> ModuleHammerSweep {
+    ModuleHammerSweep {
+        module,
+        vpp_min,
+        vpp_levels,
+        records,
+    }
+}
+
+fn trcd_sweep(
+    module: ModuleId,
+    (vpp_min, vpp_levels, records): Assembled<TrcdRecord>,
+) -> ModuleTrcdSweep {
+    ModuleTrcdSweep {
+        module,
+        vpp_min,
+        vpp_levels,
+        records,
+    }
+}
+
+fn retention_sweep(
+    module: ModuleId,
+    (vpp_min, vpp_levels, records): Assembled<RetentionRecord>,
+) -> ModuleRetentionSweep {
+    ModuleRetentionSweep {
+        module,
+        vpp_min,
+        vpp_levels,
+        records,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Public sweep entry points
+// ---------------------------------------------------------------------------
 
 /// Runs the Alg. 1 RowHammer sweep for every module in the configuration,
 /// sharded across modules *and* row chunks within each module.
@@ -1214,85 +1259,20 @@ pub fn rowhammer_sweeps(
     config: &StudyConfig,
     exec: &ExecConfig,
 ) -> Result<Vec<ModuleHammerSweep>, StudyError> {
-    hammer_sweeps_for(config, &config.modules, exec, &JobControl::new())
-}
-
-/// [`rowhammer_sweeps`] under a caller-supplied [`JobControl`]: the token
-/// cancels cooperatively (returning [`StudyError::Cancelled`]) and the
-/// control's progress counters tick as units and modules finish.
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit; `Cancelled` when
-/// the control's token fires first.
-pub fn rowhammer_sweeps_ctl(
-    config: &StudyConfig,
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleHammerSweep>, StudyError> {
-    hammer_sweeps_for(config, &config.modules, exec, ctl)
-}
-
-/// Runs the Alg. 1 sweep for one module (its chunks still run in parallel).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn rowhammer_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    exec: &ExecConfig,
-) -> Result<ModuleHammerSweep, StudyError> {
-    Ok(hammer_sweeps_for(config, &[id], exec, &JobControl::new())?
-        .pop()
-        .expect("one module in, one sweep out"))
-}
-
-fn trcd_sweeps_for(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    levels_cap: usize,
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleTrcdSweep>, StudyError> {
-    let _phase = manifest::phase("sweep:trcd");
-    let sweep_span = begin_sweep(config, exec, "trcd", modules.len());
-    let parent = sweep_span.id();
-    with_cache(
+    let ctl = JobControl::new();
+    sweeps(
         config,
-        modules,
+        &SweepKind::Hammer,
         exec,
-        "trcd",
-        levels_cap as u64,
-        ctl,
-        |missing| {
-            let assembled = run_sharded(
-                config,
-                missing,
-                exec,
-                "trcd",
-                levels_cap as u64,
-                parent,
-                ctl,
-                |pool, bp, mi, id, chunk, rows| {
-                    trcd_unit(config, pool, bp, mi, id, levels_cap, chunk, rows)
-                },
-            )?;
-            Ok(missing
-                .iter()
-                .zip(assembled)
-                .map(|(&id, (vpp_min, vpp_levels, records))| ModuleTrcdSweep {
-                    module: id,
-                    vpp_min,
-                    vpp_levels,
-                    records,
-                })
-                .collect())
-        },
+        &ctl,
+        hammer_ladder,
+        hammer_sweep,
     )
 }
 
 /// Runs the Alg. 2 activation-latency sweep for every configured module.
+/// To bound cost it sweeps nominal and `V_PPmin` plus evenly spaced
+/// intermediate levels, `levels_cap` in total.
 ///
 /// # Errors
 ///
@@ -1302,85 +1282,19 @@ pub fn trcd_sweeps(
     levels_cap: usize,
     exec: &ExecConfig,
 ) -> Result<Vec<ModuleTrcdSweep>, StudyError> {
-    trcd_sweeps_for(
+    let kind = SweepKind::Trcd { levels_cap };
+    let ctl = JobControl::new();
+    sweeps(
         config,
-        &config.modules,
-        levels_cap,
+        &kind,
         exec,
-        &JobControl::new(),
+        &ctl,
+        trcd_ladder(levels_cap),
+        trcd_sweep,
     )
 }
 
-/// [`trcd_sweeps`] under a caller-supplied [`JobControl`] (cancellation +
-/// progress; see [`rowhammer_sweeps_ctl`]).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit; `Cancelled` when
-/// the control's token fires first.
-pub fn trcd_sweeps_ctl(
-    config: &StudyConfig,
-    levels_cap: usize,
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleTrcdSweep>, StudyError> {
-    trcd_sweeps_for(config, &config.modules, levels_cap, exec, ctl)
-}
-
-/// Runs the Alg. 2 sweep for one module (its chunks still run in parallel).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn trcd_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    levels_cap: usize,
-    exec: &ExecConfig,
-) -> Result<ModuleTrcdSweep, StudyError> {
-    Ok(
-        trcd_sweeps_for(config, &[id], levels_cap, exec, &JobControl::new())?
-            .pop()
-            .expect("one module in, one sweep out"),
-    )
-}
-
-fn retention_sweeps_for(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleRetentionSweep>, StudyError> {
-    let _phase = manifest::phase("sweep:retention");
-    let sweep_span = begin_sweep(config, exec, "retention", modules.len());
-    let parent = sweep_span.id();
-    with_cache(config, modules, exec, "retention", 0, ctl, |missing| {
-        let assembled = run_sharded(
-            config,
-            missing,
-            exec,
-            "retention",
-            0,
-            parent,
-            ctl,
-            |pool, bp, mi, id, chunk, rows| retention_unit(config, pool, bp, mi, id, chunk, rows),
-        )?;
-        Ok(missing
-            .iter()
-            .zip(assembled)
-            .map(
-                |(&id, (vpp_min, vpp_levels, records))| ModuleRetentionSweep {
-                    module: id,
-                    vpp_min,
-                    vpp_levels,
-                    records,
-                },
-            )
-            .collect())
-    })
-}
-
-/// Runs the Alg. 3 retention sweep for every configured module.
+/// Runs the Alg. 3 retention sweep at 80 °C for every configured module.
 ///
 /// # Errors
 ///
@@ -1389,39 +1303,51 @@ pub fn retention_sweeps(
     config: &StudyConfig,
     exec: &ExecConfig,
 ) -> Result<Vec<ModuleRetentionSweep>, StudyError> {
-    retention_sweeps_for(config, &config.modules, exec, &JobControl::new())
+    let ctl = JobControl::new();
+    sweeps(
+        config,
+        &SweepKind::Retention,
+        exec,
+        &ctl,
+        retention_ladder,
+        retention_sweep,
+    )
 }
 
-/// [`retention_sweeps`] under a caller-supplied [`JobControl`] (cancellation
-/// + progress; see [`rowhammer_sweeps_ctl`]).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit; `Cancelled` when
-/// the control's token fires first.
-pub fn retention_sweeps_ctl(
+/// The record payload of a job of `kind` under `ctl`: exactly the JSONL the
+/// CLI prints, one record per line, modules in configuration order.
+/// Registry sweeps run through the same driver as the public entry points;
+/// population studies run through [`population::population_run`].
+pub(crate) fn records_jsonl(
     config: &StudyConfig,
+    kind: &SweepKind,
     exec: &ExecConfig,
     ctl: &JobControl,
-) -> Result<Vec<ModuleRetentionSweep>, StudyError> {
-    retention_sweeps_for(config, &config.modules, exec, ctl)
-}
-
-/// Runs the Alg. 3 sweep for one module (its chunks still run in parallel).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn retention_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    exec: &ExecConfig,
-) -> Result<ModuleRetentionSweep, StudyError> {
-    Ok(
-        retention_sweeps_for(config, &[id], exec, &JobControl::new())?
-            .pop()
-            .expect("one module in, one sweep out"),
-    )
+) -> Result<String, StudyError> {
+    let mut out = Vec::new();
+    let written = match kind {
+        SweepKind::Hammer => sweeps(config, kind, exec, ctl, hammer_ladder, hammer_sweep)?
+            .iter()
+            .try_for_each(|s| write_jsonl(&s.records, &mut out)),
+        &SweepKind::Trcd { levels_cap } => {
+            sweeps(config, kind, exec, ctl, trcd_ladder(levels_cap), trcd_sweep)?
+                .iter()
+                .try_for_each(|s| write_jsonl(&s.records, &mut out))
+        }
+        SweepKind::Retention => sweeps(config, kind, exec, ctl, retention_ladder, retention_sweep)?
+            .iter()
+            .try_for_each(|s| write_jsonl(&s.records, &mut out)),
+        SweepKind::Population(cfg) => {
+            // One line per batch, then the summary as the final line.
+            let (records, summary) = population::population_run(cfg, exec, ctl)?;
+            write_jsonl(&records, &mut out)
+                .and_then(|()| write_jsonl(std::slice::from_ref(&summary), &mut out))
+        }
+    };
+    written.map_err(|e| StudyError::InvalidConfig {
+        reason: format!("cannot serialize records: {e}"),
+    })?;
+    Ok(String::from_utf8(out).expect("JSON is UTF-8"))
 }
 
 #[cfg(test)]
@@ -1456,10 +1382,13 @@ mod tests {
     #[test]
     fn hammer_sweep_is_identical_across_worker_counts() {
         let cfg = tiny_config(&[ModuleId::B3]);
-        let serial = rowhammer_sweep(&cfg, ModuleId::B3, &ExecConfig::serial()).unwrap();
+        let serial = rowhammer_sweeps(&cfg, &ExecConfig::serial())
+            .unwrap()
+            .remove(0);
         for jobs in [2, 4, 16] {
-            let parallel =
-                rowhammer_sweep(&cfg, ModuleId::B3, &ExecConfig::with_jobs(jobs)).unwrap();
+            let parallel = rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(jobs))
+                .unwrap()
+                .remove(0);
             assert_eq!(
                 serde_json::to_string(&serial).unwrap(),
                 serde_json::to_string(&parallel).unwrap(),
@@ -1474,7 +1403,9 @@ mod tests {
         let together = rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(4)).unwrap();
         assert_eq!(together.len(), 2);
         for (i, &id) in cfg.modules.iter().enumerate() {
-            let alone = rowhammer_sweep(&cfg, id, &ExecConfig::serial()).unwrap();
+            let alone = rowhammer_sweeps(&tiny_config(&[id]), &ExecConfig::serial())
+                .unwrap()
+                .remove(0);
             assert_eq!(
                 serde_json::to_string(&together[i]).unwrap(),
                 serde_json::to_string(&alone).unwrap(),
@@ -1491,12 +1422,12 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..ExecConfig::default()
         };
-        let cold = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let cold = rowhammer_sweeps(&cfg, &exec).unwrap().remove(0);
         // The entry exists on disk now.
         let key = sweep_key(&cfg, ModuleId::B3, "hammer", 0);
         assert!(cache_path(&dir, "hammer", ModuleId::B3, key).exists());
         // Warm run: loaded, not recomputed, identical bytes.
-        let warm = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let warm = rowhammer_sweeps(&cfg, &exec).unwrap().remove(0);
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&warm).unwrap()
@@ -1548,7 +1479,7 @@ mod tests {
         let path = cache_path(&dir, "hammer", ModuleId::B3, key);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, "not json\n").unwrap();
-        let sweep = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let sweep = rowhammer_sweeps(&cfg, &exec).unwrap().remove(0);
         assert!(!sweep.records.is_empty());
         // The corrupt entry was replaced by a valid one.
         assert!(cache_load::<ModuleHammerSweep>(&path, key).is_some());
@@ -1632,7 +1563,7 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..ExecConfig::default()
         };
-        let cold = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let cold = rowhammer_sweeps(&cfg, &exec).unwrap().remove(0);
         let key = sweep_key(&cfg, ModuleId::B3, "hammer", 0);
         let path = cache_path(&dir, "hammer", ModuleId::B3, key);
 
@@ -1645,7 +1576,7 @@ mod tests {
         envelope.payload = serde_json::to_string(&sweep).unwrap();
         std::fs::write(&path, serde_json::to_string(&envelope).unwrap()).unwrap();
 
-        let reread = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let reread = rowhammer_sweeps(&cfg, &exec).unwrap().remove(0);
         assert_ne!(reread.records[0].ber, 0.123_456_789);
         assert_eq!(
             serde_json::to_string(&reread).unwrap(),
@@ -1679,17 +1610,58 @@ mod tests {
     #[test]
     fn trcd_and_retention_are_identical_across_worker_counts() {
         let cfg = tiny_config(&[ModuleId::A0]);
-        let t1 = trcd_sweep(&cfg, ModuleId::A0, 3, &ExecConfig::serial()).unwrap();
-        let t4 = trcd_sweep(&cfg, ModuleId::A0, 3, &ExecConfig::with_jobs(4)).unwrap();
+        let t1 = trcd_sweeps(&cfg, 3, &ExecConfig::serial()).unwrap();
+        let t4 = trcd_sweeps(&cfg, 3, &ExecConfig::with_jobs(4)).unwrap();
         assert_eq!(
             serde_json::to_string(&t1).unwrap(),
             serde_json::to_string(&t4).unwrap()
         );
-        let r1 = retention_sweep(&cfg, ModuleId::A0, &ExecConfig::serial()).unwrap();
-        let r4 = retention_sweep(&cfg, ModuleId::A0, &ExecConfig::with_jobs(4)).unwrap();
+        let r1 = retention_sweeps(&cfg, &ExecConfig::serial()).unwrap();
+        let r4 = retention_sweeps(&cfg, &ExecConfig::with_jobs(4)).unwrap();
         assert_eq!(
             serde_json::to_string(&r1).unwrap(),
             serde_json::to_string(&r4).unwrap()
+        );
+    }
+
+    #[test]
+    fn blueprint_cache_is_shared_by_clones_only() {
+        let cfg = tiny_config(&[ModuleId::B3]);
+        let exec = ExecConfig::default();
+        let clone = exec.clone();
+        let separate = ExecConfig::default();
+        rowhammer_sweeps(&cfg, &exec).unwrap();
+        assert_eq!(exec.blueprints.lock().len(), 1);
+        assert_eq!(clone.blueprints.lock().len(), 1, "a clone shares the cache");
+        assert_eq!(
+            separate.blueprints.lock().len(),
+            0,
+            "separately built configurations must not share entries"
+        );
+    }
+
+    #[test]
+    fn second_sweep_on_one_config_calibrates_nothing() {
+        let cfg = tiny_config(&[ModuleId::B3]);
+        let exec = ExecConfig::serial();
+        let first = rowhammer_sweeps(&cfg, &exec).unwrap();
+        // Plant a sentinel under the cached key: the blueprint of another
+        // specimen. A second sweep that calibrated B3 again would not see it.
+        let other = StudyConfig {
+            seed: cfg.seed ^ 1,
+            ..cfg.clone()
+        };
+        let sentinel = Arc::new(other.blueprint(ModuleId::B3).unwrap());
+        exec.blueprints.lock()[0].1 = Arc::clone(&sentinel);
+        let second = rowhammer_sweeps(&cfg, &exec).unwrap();
+        trcd_sweeps(&cfg, 3, &exec).unwrap();
+        let entries = exec.blueprints.lock();
+        assert_eq!(entries.len(), 1);
+        assert!(Arc::ptr_eq(&entries[0].1, &sentinel));
+        assert_ne!(
+            serde_json::to_string(&first).unwrap(),
+            serde_json::to_string(&second).unwrap(),
+            "the second sweep must run on the cached blueprint"
         );
     }
 }

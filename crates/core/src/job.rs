@@ -30,8 +30,7 @@
 
 use crate::error::StudyError;
 use crate::exec::{self, ExecConfig};
-use crate::population::{self, PopulationConfig};
-use crate::records::write_jsonl;
+use crate::population::PopulationConfig;
 use crate::study::StudyConfig;
 use hammervolt_obs::scope::Scope;
 use hammervolt_obs::Span;
@@ -129,49 +128,9 @@ impl JobSpec {
         span.field_str("kind", self.kind.label());
         span.field_str("spec_hash", &format!("{:016x}", self.spec_hash()));
         let _scope_guard = ctl.scope().map(hammervolt_obs::scope::enter);
-        let mut buf: Vec<u8> = Vec::new();
-        match &self.kind {
-            SweepKind::Hammer => {
-                for sweep in exec::rowhammer_sweeps_ctl(&self.config, exec, ctl)? {
-                    write_jsonl(&sweep.records, &mut buf).map_err(|e| {
-                        StudyError::InvalidConfig {
-                            reason: format!("cannot serialize records: {e}"),
-                        }
-                    })?;
-                }
-            }
-            SweepKind::Trcd { levels_cap } => {
-                for sweep in exec::trcd_sweeps_ctl(&self.config, *levels_cap, exec, ctl)? {
-                    write_jsonl(&sweep.records, &mut buf).map_err(|e| {
-                        StudyError::InvalidConfig {
-                            reason: format!("cannot serialize records: {e}"),
-                        }
-                    })?;
-                }
-            }
-            SweepKind::Retention => {
-                for sweep in exec::retention_sweeps_ctl(&self.config, exec, ctl)? {
-                    write_jsonl(&sweep.records, &mut buf).map_err(|e| {
-                        StudyError::InvalidConfig {
-                            reason: format!("cannot serialize records: {e}"),
-                        }
-                    })?;
-                }
-            }
-            SweepKind::Population(cfg) => {
-                let (records, summary) = population::population_run(cfg, exec, ctl)?;
-                // Payload: one line per batch, then the summary as the
-                // final line.
-                write_jsonl(&records, &mut buf)
-                    .and_then(|()| write_jsonl(std::slice::from_ref(&summary), &mut buf))
-                    .map_err(|e| StudyError::InvalidConfig {
-                        reason: format!("cannot serialize records: {e}"),
-                    })?;
-            }
-        }
         Ok(JobOutput {
             spec_hash: self.spec_hash(),
-            records_jsonl: String::from_utf8(buf).expect("JSON is UTF-8"),
+            records_jsonl: exec::records_jsonl(&self.config, &self.kind, exec, ctl)?,
         })
     }
 }
@@ -336,6 +295,7 @@ impl JobControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::write_jsonl;
     use hammervolt_dram::registry::ModuleId;
 
     fn tiny_spec(kind: SweepKind) -> JobSpec {

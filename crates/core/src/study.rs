@@ -1,9 +1,11 @@
-//! Study orchestration: full module sweeps and aggregate findings.
+//! Study orchestration: the study configuration, per-module sweep results
+//! and aggregate findings.
 //!
-//! These are the drivers behind the paper's figures: each sweep runs one
-//! module through its `V_PP` ladder with one of the algorithms and collects
-//! flat records; the aggregation types compute the normalized series, the
-//! population ratios, and the headline statistics of §5/§6.
+//! These are the data behind the paper's figures: each sweep (run by the
+//! [`exec`](crate::exec) engine) takes one module through its `V_PP` ladder
+//! with one of the algorithms and collects flat records; the aggregation
+//! types compute the normalized series, the population ratios, and the
+//! headline statistics of §5/§6.
 
 use crate::alg1::Alg1Config;
 use crate::alg2::Alg2Config;
@@ -287,24 +289,6 @@ impl ModuleHammerSweep {
     }
 }
 
-/// Runs the Alg. 1 sweep for one module: WCDP per row at nominal `V_PP`,
-/// then the full ladder down to `V_PPmin` reusing each row's WCDP
-/// (§4.1/footnote 9).
-///
-/// This is the single-threaded entry point; it delegates to the
-/// [`exec`](crate::exec) engine with one worker, so its output is
-/// byte-identical to a parallel run of the same configuration.
-///
-/// # Errors
-///
-/// Propagates infrastructure errors.
-pub fn rowhammer_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-) -> Result<ModuleHammerSweep, StudyError> {
-    crate::exec::rowhammer_sweep(config, id, &crate::exec::ExecConfig::serial())
-}
-
 /// One module's `t_RCD` sweep across its ladder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModuleTrcdSweep {
@@ -349,24 +333,6 @@ impl ModuleTrcdSweep {
     }
 }
 
-/// Runs the Alg. 2 sweep for one module. To bound cost, the `t_RCD` study
-/// sweeps nominal and `V_PPmin` plus evenly spaced intermediate levels
-/// (`levels_cap` total).
-///
-/// Single-threaded entry point; delegates to the [`exec`](crate::exec)
-/// engine with one worker (byte-identical to a parallel run).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors.
-pub fn trcd_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    levels_cap: usize,
-) -> Result<ModuleTrcdSweep, StudyError> {
-    crate::exec::trcd_sweep(config, id, levels_cap, &crate::exec::ExecConfig::serial())
-}
-
 /// One module's retention sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModuleRetentionSweep {
@@ -406,22 +372,6 @@ impl ModuleRetentionSweep {
             .map(|r| r.ber)
             .collect()
     }
-}
-
-/// Runs the Alg. 3 sweep for one module at 80 °C across the configured
-/// retention `V_PP` levels.
-///
-/// Single-threaded entry point; delegates to the [`exec`](crate::exec)
-/// engine with one worker (byte-identical to a parallel run).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors.
-pub fn retention_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-) -> Result<ModuleRetentionSweep, StudyError> {
-    crate::exec::retention_sweep(config, id, &crate::exec::ExecConfig::serial())
 }
 
 /// Headline statistics across modules (Takeaway 1).
@@ -532,6 +482,7 @@ pub fn normalize_curve(values: &[f64]) -> Result<Vec<f64>, StudyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{retention_sweeps, rowhammer_sweeps, trcd_sweeps, ExecConfig};
 
     fn tiny_config(modules: &[ModuleId]) -> StudyConfig {
         StudyConfig {
@@ -543,7 +494,9 @@ mod tests {
     #[test]
     fn rowhammer_sweep_produces_ladder_records() {
         let cfg = tiny_config(&[ModuleId::B3]);
-        let sweep = rowhammer_sweep(&cfg, ModuleId::B3).unwrap();
+        let sweep = rowhammer_sweeps(&cfg, &ExecConfig::serial())
+            .unwrap()
+            .remove(0);
         assert!((sweep.vpp_min - 1.6).abs() < 1e-9);
         assert_eq!(sweep.vpp_levels.len(), 10); // 2.5 → 1.6
         assert!(!sweep.records.is_empty());
@@ -571,11 +524,7 @@ mod tests {
     #[test]
     fn aggregate_findings_have_paper_signs() {
         let cfg = tiny_config(&[ModuleId::B3, ModuleId::C0]);
-        let sweeps: Vec<_> = cfg
-            .modules
-            .iter()
-            .map(|&m| rowhammer_sweep(&cfg, m).unwrap())
-            .collect();
+        let sweeps = rowhammer_sweeps(&cfg, &ExecConfig::serial()).unwrap();
         let f = aggregate_findings(&sweeps).unwrap();
         assert!(f.mean_hc_change > 0.0, "HC_first must rise on average");
         assert!(f.mean_ber_change < 0.0, "BER must fall on average");
@@ -587,7 +536,9 @@ mod tests {
     #[test]
     fn trcd_sweep_worst_grows_toward_vppmin() {
         let cfg = tiny_config(&[ModuleId::A0]);
-        let sweep = trcd_sweep(&cfg, ModuleId::A0, 3).unwrap();
+        let sweep = trcd_sweeps(&cfg, 3, &ExecConfig::serial())
+            .unwrap()
+            .remove(0);
         let worst = sweep.worst_per_level();
         let first = worst.first().unwrap().1.unwrap();
         let last = worst.last().unwrap().1.unwrap();
@@ -598,7 +549,9 @@ mod tests {
     #[test]
     fn retention_sweep_records_windows() {
         let cfg = tiny_config(&[ModuleId::C2]);
-        let sweep = retention_sweep(&cfg, ModuleId::C2).unwrap();
+        let sweep = retention_sweeps(&cfg, &ExecConfig::serial())
+            .unwrap()
+            .remove(0);
         assert!(!sweep.records.is_empty());
         let nominal_curve = sweep.mean_ber_curve(2.5);
         assert_eq!(nominal_curve.len(), cfg.alg3.windows_s.len());
@@ -630,11 +583,7 @@ mod tests {
     #[test]
     fn ratios_group_by_manufacturer() {
         let cfg = tiny_config(&[ModuleId::A4, ModuleId::B3]);
-        let sweeps: Vec<_> = cfg
-            .modules
-            .iter()
-            .map(|&m| rowhammer_sweep(&cfg, m).unwrap())
-            .collect();
+        let sweeps = rowhammer_sweeps(&cfg, &ExecConfig::serial()).unwrap();
         let grouped = ratios_by_manufacturer(&sweeps);
         assert!(grouped.contains_key(&Manufacturer::A));
         assert!(grouped.contains_key(&Manufacturer::B));

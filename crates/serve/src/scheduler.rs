@@ -242,12 +242,11 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Starts `config.workers` worker threads executing jobs under `exec`
-    /// (shared cache dir, per-job worker count, checkpoint policy).
-    pub fn start(config: SchedConfig, mut exec: ExecConfig) -> Self {
-        // Jobs running under one scheduler share calibrated blueprints: the
-        // cross-job blueprint cache is deterministic (keyed by module id,
-        // seed, and geometry) so sharing cannot change any output bytes.
-        exec.share_blueprints = true;
+    /// (shared cache dir, per-job worker count, checkpoint policy). Every
+    /// job runs under this one configuration, so all of them share its
+    /// blueprint cache: a module calibrated for one job is never
+    /// recalibrated for the next.
+    pub fn start(config: SchedConfig, exec: ExecConfig) -> Self {
         let shared = Arc::new(Shared {
             core: Mutex::new(Inner {
                 core: Core::new(config.clone()),

@@ -12,14 +12,21 @@
 //! rejects structural faults with `BadProgram` and that data faults
 //! surface as readback divergence.
 
-use hammervolt_core::exec::{
-    cache_path, rowhammer_sweep, rowhammer_sweeps, seal_entry, sweep_key, ExecConfig,
-};
+use hammervolt_core::exec::{cache_path, rowhammer_sweeps, seal_entry, sweep_key, ExecConfig};
+use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::registry::ModuleId;
 use hammervolt_softmc::program::Program;
 use hammervolt_softmc::SoftMcError;
 use hammervolt_testkit::{faults, golden_config};
 use std::path::PathBuf;
+
+/// The golden configuration narrowed to one module.
+fn single(id: ModuleId) -> StudyConfig {
+    StudyConfig {
+        modules: vec![id],
+        ..golden_config()
+    }
+}
 
 fn temp_cache(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("testkit-faults-{tag}-{}", std::process::id()))
@@ -31,15 +38,15 @@ fn canon<T: serde::Serialize>(v: &T) -> String {
 
 #[test]
 fn corrupted_cache_entries_are_recomputed_never_served() {
-    let cfg = golden_config();
     let id = ModuleId::B3;
+    let cfg = single(id);
     let dir = temp_cache("corrupt");
     let exec = ExecConfig {
         jobs: 1,
         cache_dir: Some(dir.clone()),
         ..ExecConfig::default()
     };
-    let cold = canon(&rowhammer_sweep(&cfg, id, &exec).expect("cold run"));
+    let cold = canon(&rowhammer_sweeps(&cfg, &exec).expect("cold run"));
     let key = sweep_key(&cfg, id, "hammer", 0);
     let path = cache_path(&dir, "hammer", id, key);
     assert!(path.exists(), "cold run must populate the cache");
@@ -55,7 +62,7 @@ fn corrupted_cache_entries_are_recomputed_never_served() {
 
     // Drill 1: truncation (a crash mid-write, a full disk).
     faults::truncate_file(&path, sealed.len() / 2).unwrap();
-    let after = canon(&rowhammer_sweep(&cfg, id, &exec).expect("run after truncation"));
+    let after = canon(&rowhammer_sweeps(&cfg, &exec).expect("run after truncation"));
     assert_eq!(after, cold, "truncated entry must be recomputed");
     let recovered_1 = hammervolt_obs::metrics::counter_value("cache_corrupt_recovered");
     assert!(
@@ -72,7 +79,7 @@ fn corrupted_cache_entries_are_recomputed_never_served() {
         (sealed.len() - 5, 1),
     ] {
         faults::flip_bit(&path, byte, bit).unwrap();
-        let after = canon(&rowhammer_sweep(&cfg, id, &exec).expect("run after bit flip"));
+        let after = canon(&rowhammer_sweeps(&cfg, &exec).expect("run after bit flip"));
         assert_eq!(
             after, cold,
             "bit flip at byte {byte} bit {bit} must be detected and recomputed"
@@ -88,7 +95,7 @@ fn corrupted_cache_entries_are_recomputed_never_served() {
 
     // A *served* (uncorrupted) warm hit is not a recovery; it must still be
     // byte-identical to the cold run.
-    let warm = canon(&rowhammer_sweep(&cfg, id, &exec).expect("clean warm run"));
+    let warm = canon(&rowhammer_sweeps(&cfg, &exec).expect("clean warm run"));
     assert_eq!(warm, cold);
     hammervolt_obs::set_metrics(false);
 
@@ -128,22 +135,22 @@ fn forged_but_validly_sealed_entry_is_served() {
     // Control drill: the cache is not paranoid to the point of uselessness.
     // An entry sealed with the correct key and checksum IS trusted — which
     // is exactly what makes the corruption drills above meaningful.
-    let cfg = golden_config();
     let id = ModuleId::C5;
+    let cfg = single(id);
     let dir = temp_cache("forge");
     let exec = ExecConfig {
         jobs: 1,
         cache_dir: Some(dir.clone()),
         ..ExecConfig::default()
     };
-    let mut sweep = rowhammer_sweep(&cfg, id, &exec).expect("cold run");
+    let mut sweep = rowhammer_sweeps(&cfg, &exec).expect("cold run").remove(0);
     const SENTINEL: f64 = 0.123_456_789;
     sweep.records[0].ber = SENTINEL;
     let key = sweep_key(&cfg, id, "hammer", 0);
     let path = cache_path(&dir, "hammer", id, key);
     std::fs::write(&path, seal_entry(key, &canon(&sweep)) + "\n").unwrap();
 
-    let served = rowhammer_sweep(&cfg, id, &exec).expect("warm run");
+    let served = rowhammer_sweeps(&cfg, &exec).expect("warm run").remove(0);
     assert_eq!(
         served.records[0].ber, SENTINEL,
         "a correctly sealed entry must be served without recomputation"

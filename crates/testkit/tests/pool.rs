@@ -1,9 +1,10 @@
-//! Session-pool and cross-job cache conformance: recycling a pooled
-//! [`SoftMc`] session (O(touched-rows) reset) must be observably identical
-//! to a fresh `blueprint.instantiate()` clone for every sweep kind at every
-//! worker count, a session that errored mid-unit must be discarded rather
-//! than recycled, and the serve-layer caches (cross-job blueprints, the
-//! in-memory result LRU) must hit on warm traffic without changing a byte.
+//! Session-pool and cross-job cache conformance: pooled runs of every sweep
+//! kind are byte-identical at every worker count, a recycled [`SoftMc`]
+//! session (O(touched-rows) reset) is observably identical to a fresh
+//! `blueprint.instantiate()` clone, a session that errored mid-unit is
+//! discarded rather than recycled, and the serve-layer caches (cross-job
+//! blueprints, the in-memory result LRU) hit on warm traffic without
+//! changing a byte.
 
 use hammervolt_core::exec::{self, ExecConfig, ModulePool};
 use hammervolt_core::job::{JobControl, JobSpec, SweepKind};
@@ -30,7 +31,7 @@ fn spec(kind: SweepKind) -> JobSpec {
 }
 
 #[test]
-fn pooled_reset_is_byte_identical_to_fresh_clones_for_every_sweep_kind() {
+fn pooled_runs_match_the_serial_run_for_every_sweep_kind() {
     let kinds = [
         SweepKind::Hammer,
         SweepKind::Trcd { levels_cap: 4 },
@@ -38,30 +39,23 @@ fn pooled_reset_is_byte_identical_to_fresh_clones_for_every_sweep_kind() {
     ];
     for kind in kinds {
         let spec = spec(kind);
-        // Reference: pooling off — every unit pays the pristine-arena clone,
-        // the pre-pooling semantics.
-        let unpooled = ExecConfig {
-            jobs: 1,
-            pool_sessions: false,
-            ..ExecConfig::default()
-        };
+        // Reference: the one-worker run. Recycled = fresh itself is pinned
+        // by the goldens (recorded before sessions were pooled), by the
+        // fingerprint test below, and by `debug_assert_pristine` on every
+        // recycle in debug builds.
         let reference = spec
-            .run(&unpooled, &JobControl::new())
-            .expect("unpooled reference run")
+            .run(&ExecConfig::serial(), &JobControl::new())
+            .expect("serial reference run")
             .records_jsonl;
         for jobs in [1, 2, 8] {
-            let pooled = ExecConfig {
-                jobs,
-                ..ExecConfig::default()
-            };
             let (_, reuses_before) = exec::pool_stats();
             let out = spec
-                .run(&pooled, &JobControl::new())
+                .run(&ExecConfig::with_jobs(jobs), &JobControl::new())
                 .expect("pooled run")
                 .records_jsonl;
             assert_eq!(
                 out, reference,
-                "pooled run (jobs={jobs}) diverged from fresh-clone reference for {:?}",
+                "pooled run (jobs={jobs}) diverged from the serial run for {:?}",
                 spec.kind
             );
             let (_, reuses_after) = exec::pool_stats();
@@ -104,7 +98,7 @@ fn errored_sessions_are_discarded_and_recycled_sessions_are_pristine() {
 
     let fresh_print = fingerprint(&mut SoftMc::new(bp.instantiate()));
 
-    let mut pool = ModulePool::new(1, true);
+    let mut pool = ModulePool::new(1);
 
     // A unit that errors mid-way never checks its session back in: dirty
     // the session arbitrarily, then drop it (simulating the error path).
@@ -114,13 +108,12 @@ fn errored_sessions_are_discarded_and_recycled_sessions_are_pristine() {
     poisoned.init_row(0, 100, 0xDEAD_BEEF_DEAD_BEEF).unwrap();
     drop(poisoned);
 
-    // The next checkout must not see any of that state.
-    let (creates_before, _) = exec::pool_stats();
+    // The next checkout must not see any of that state. The pool's own
+    // counts are read, not the process totals, which sibling tests move.
     let mut replacement = pool.checkout(0, &bp);
-    let (creates_after, _) = exec::pool_stats();
     assert_eq!(
-        creates_after,
-        creates_before + 1,
+        pool.stats(),
+        (2, 0),
         "a poisoned (never checked-in) session must be replaced by a fresh \
          instantiation, not recycled"
     );
@@ -131,14 +124,8 @@ fn errored_sessions_are_discarded_and_recycled_sessions_are_pristine() {
     replacement.set_vpp(2.4).unwrap();
     replacement.set_temperature(80.0).unwrap();
     pool.check_in(0, replacement);
-    let (_, reuses_before) = exec::pool_stats();
     let mut recycled = pool.checkout(0, &bp);
-    let (_, reuses_after) = exec::pool_stats();
-    assert_eq!(
-        reuses_after,
-        reuses_before + 1,
-        "clean check-in must recycle"
-    );
+    assert_eq!(pool.stats(), (2, 1), "clean check-in must recycle");
     assert_eq!(
         (recycled.module().vpp(), recycled.module().temperature_c()),
         (

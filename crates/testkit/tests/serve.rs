@@ -625,6 +625,21 @@ fn malformed_submissions_and_unknown_jobs_are_clean_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The JSON parser stops at its nesting limit, so a body of 100 000 nested
+/// `[` is an ordinary 400 rather than a stack overflow that aborts the
+/// whole server.
+#[test]
+fn deeply_nested_submission_is_a_400_and_the_server_survives() {
+    let (server, dir) = server("nested", 1, false);
+    let addr = server.addr();
+    let (status, _) = http(addr, "POST", "/studies", &"[".repeat(100_000));
+    assert_eq!(status, 400);
+    let (status, _) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `?stream=1` sends JSONL snapshots until the job settles, ends with the
 /// terminal snapshot, and closes the connection.
 #[test]

@@ -6,7 +6,8 @@
 
 use hammervolt::dram::registry::ModuleId;
 use hammervolt::stats::table::AsciiTable;
-use hammervolt::study::study::{rowhammer_sweep, StudyConfig};
+use hammervolt::study::exec::{rowhammer_sweeps, ExecConfig};
+use hammervolt::study::study::StudyConfig;
 
 fn main() {
     let wanted = std::env::args().nth(1).unwrap_or_else(|| "B3".to_string());
@@ -20,7 +21,9 @@ fn main() {
         ..StudyConfig::quick_subset(&[id])
     };
     println!("V_PP ladder sweep of module {id} (24 rows, Alg. 1 fast config)\n");
-    let sweep = rowhammer_sweep(&cfg, id).expect("sweep");
+    let sweep = rowhammer_sweeps(&cfg, &ExecConfig::serial())
+        .expect("sweep")
+        .remove(0);
     let ber = sweep.normalized_ber();
     let hc = sweep.normalized_hc_first();
     let mut t = AsciiTable::new(vec![

@@ -6,7 +6,8 @@
 //! bench harnesses reproduce the precise figures.
 
 use hammervolt::dram::registry::ModuleId;
-use hammervolt::study::study::{aggregate_findings, rowhammer_sweep, trcd_sweep, StudyConfig};
+use hammervolt::study::exec::{rowhammer_sweeps, trcd_sweeps, ExecConfig};
+use hammervolt::study::study::{aggregate_findings, StudyConfig};
 
 fn tiny(modules: &[ModuleId]) -> StudyConfig {
     StudyConfig {
@@ -19,11 +20,7 @@ fn tiny(modules: &[ModuleId]) -> StudyConfig {
 fn takeaway1_hc_first_rises_and_ber_falls_on_average() {
     // One representative module per vendor.
     let cfg = tiny(&[ModuleId::A1, ModuleId::B3, ModuleId::C5]);
-    let sweeps: Vec<_> = cfg
-        .modules
-        .iter()
-        .map(|&m| rowhammer_sweep(&cfg, m).expect("sweep"))
-        .collect();
+    let sweeps = rowhammer_sweeps(&cfg, &ExecConfig::serial()).expect("sweep");
     let f = aggregate_findings(&sweeps).expect("aggregate");
     assert!(
         f.mean_hc_change > 0.02,
@@ -43,7 +40,9 @@ fn takeaway1_hc_first_rises_and_ber_falls_on_average() {
 fn obsv5_minority_modules_show_opposite_direction() {
     // C8's Table 3 record: HC_first *falls* at V_PPmin (9.5K from 11.4K).
     let cfg = tiny(&[ModuleId::C8]);
-    let sweep = rowhammer_sweep(&cfg, ModuleId::C8).expect("sweep");
+    let sweep = rowhammer_sweeps(&cfg, &ExecConfig::serial())
+        .expect("sweep")
+        .remove(0);
     let hc = sweep.normalized_hc_first();
     let last = hc.last().expect("levels");
     assert!(
@@ -72,7 +71,8 @@ fn section61_failing_modules_and_their_fixes() {
     // within nominal (two ends of Obsv. 7).
     let cfg = tiny(&[ModuleId::A0, ModuleId::C0]);
 
-    let a0 = trcd_sweep(&cfg, ModuleId::A0, 2).expect("sweep");
+    let sweeps = trcd_sweeps(&cfg, 2, &ExecConfig::serial()).expect("sweep");
+    let (a0, c0) = (&sweeps[0], &sweeps[1]);
     let worst_a0 = a0
         .worst_per_level()
         .last()
@@ -84,7 +84,6 @@ fn section61_failing_modules_and_their_fixes() {
     );
     assert!(worst_a0 <= 24.0, "…but 24 ns must suffice (got {worst_a0})");
 
-    let c0 = trcd_sweep(&cfg, ModuleId::C0, 2).expect("sweep");
     let worst_c0 = c0
         .worst_per_level()
         .last()
@@ -100,7 +99,9 @@ fn section61_failing_modules_and_their_fixes() {
 fn guardband_shrinks_but_stays_positive_for_healthy_modules() {
     use hammervolt::study::mitigation::{guardband, guardband_reduction};
     let cfg = tiny(&[ModuleId::C4]);
-    let sweep = trcd_sweep(&cfg, ModuleId::C4, 2).expect("sweep");
+    let sweep = trcd_sweeps(&cfg, 2, &ExecConfig::serial())
+        .expect("sweep")
+        .remove(0);
     let at = |vpp: f64| -> Vec<Option<f64>> {
         sweep
             .records
@@ -125,7 +126,9 @@ fn b3_reaches_the_strongest_response() {
     // for the best rows, −60 % module-level BER. With a tiny sample we check
     // looser bounds.
     let cfg = tiny(&[ModuleId::B3]);
-    let sweep = rowhammer_sweep(&cfg, ModuleId::B3).expect("sweep");
+    let sweep = rowhammer_sweeps(&cfg, &ExecConfig::serial())
+        .expect("sweep")
+        .remove(0);
     let (ber, hc) = sweep.row_ratios_at_vppmin();
     let mean_ber = ber.iter().sum::<f64>() / ber.len() as f64;
     assert!(
